@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import closed_forms, identities
-from .exact import InvalidParameter, ONE, ZERO
+from .exact import InvalidParameter
 from .families import FamilyId, FamilyKind, table, via_series
 from .goldens import TABLE1, TABLE1_N_MAX, TABLE1_NMAX
 from .identities import IdentityReport
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_VERIFY_FAILED = 4
-
-_EULER_KINDS = (FamilyKind.HG_EULER, FamilyKind.COMP_HG_EULER)
 
 _METHODS = ("recurrence", "series", "explicit", "binomial", "det", "trudi")
 
@@ -55,58 +53,27 @@ class OutputRecord:
 
 
 def _methods_for(kind: FamilyKind) -> tuple[str, ...]:
-    if kind in _EULER_KINDS:
-        return _METHODS
-    return ("recurrence", "series", "det", "trudi")
+    return ("recurrence", "series") + tuple(
+        method for k, method in closed_forms.table_routes() if k is kind
+    )
 
 
-def _per_index_route(kind: FamilyKind, method: str) -> Callable[[int, int], Fraction]:
-    if kind is FamilyKind.HG_EULER:
-        return {
-            "explicit": closed_forms.hg_euler_explicit,
-            "binomial": closed_forms.hg_euler_binomial,
-            "det": closed_forms.hg_euler_det,
-            "trudi": closed_forms.hg_euler_trudi,
-        }[method]
-    if kind is FamilyKind.COMP_HG_EULER:
-        return {
-            "explicit": closed_forms.comp_hg_euler_explicit,
-            "binomial": closed_forms.comp_hg_euler_binomial,
-            "det": closed_forms.comp_hg_euler_det,
-            "trudi": closed_forms.comp_hg_euler_trudi,
-        }[method]
-    if kind is FamilyKind.HG_BERNOULLI:
-        return {
-            "det": closed_forms.hg_bernoulli_det,
-            "trudi": closed_forms.hg_bernoulli_det,
-        }[method]
-    return {
-        "det": closed_forms.hg_cauchy_det,
-        "trudi": closed_forms.hg_cauchy_det,
-    }[method]
+def _check_max_n(nmax: int) -> None:
+    if nmax < 0:
+        raise InvalidParameter(f"--max-n must be nonnegative, got {nmax}")
 
 
 def compute_values(kind: FamilyKind, N: int, nmax: int, method: str) -> list[Fraction]:
     """Values v_0..v_nmax of the family by the requested method."""
-    if method not in _methods_for(kind):
-        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
-    fam = FamilyId(kind, N)
+    _check_max_n(nmax)
     if method == "recurrence":
-        return list(table(fam, nmax).values)
+        return list(table(FamilyId(kind, N), nmax).values)
     if method == "series":
-        return list(via_series(fam, nmax).values)
-    route = _per_index_route(kind, method)
-    out: list[Fraction] = []
-    for n in range(nmax + 1):
-        if n == 0:
-            out.append(ONE)
-        elif kind in _EULER_KINDS and n % 2 == 1:
-            out.append(ZERO)
-        elif method == "explicit":
-            out.append(route(n=n, N=N, cap=max(nmax, closed_forms.DEFAULT_COMPOSITION_CAP)))
-        else:
-            out.append(route(N, n))
-    return out
+        return list(via_series(FamilyId(kind, N), nmax).values)
+    route = closed_forms.table_routes().get((kind, method))
+    if route is None:
+        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
+    return route(kind, N, nmax)
 
 
 def _write_records(records: list[OutputRecord], fmt: str, out_path: str | None) -> None:
@@ -224,6 +191,8 @@ def _report_json(report: IdentityReport) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n is not None:
+        _check_max_n(args.max_n)
     registry = _suite_registry()
     if args.suite == "all":
         selected = list(registry)

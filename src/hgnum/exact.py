@@ -8,6 +8,7 @@ rest of the package has a single name for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,9 +29,7 @@ def factorial(n: int) -> Fraction:
     """n! as an exact integer-valued Fraction."""
     if n < 0:
         raise InvalidParameter(f"factorial of negative {n}")
-    if n == 0:
-        return ONE
-    return factorial(n - 1) * n
+    return Fraction(math.factorial(n))
 
 
 def binomial(n: int, k: int) -> Fraction:
@@ -44,11 +43,13 @@ def binomial(n: int, k: int) -> Fraction:
 
 def multinomial(ts: Sequence[int]) -> Fraction:
     """(sum ts)! / prod(t!)."""
-    total = sum(ts)
-    out = factorial(total)
+    if min(ts, default=0) < 0:
+        raise InvalidParameter(f"multinomial with a negative part in {tuple(ts)}")
+    out = math.factorial(sum(ts))
     for t in ts:
-        out /= factorial(t)
-    return out
+        if t > 1:
+            out //= math.factorial(t)
+    return Fraction(out)
 
 
 def rising_factorial(x: Fraction, n: int) -> Fraction:
@@ -101,14 +102,19 @@ def partition_multiplicities(m: int) -> Iterator[tuple[int, ...]]:
     if m < 1:
         raise InvalidParameter(f"m must be positive, got {m}")
 
+    ts = [0] * m
+
+    # ts[k-1:] is all zero whenever rec(k, rem) is entered, so the vector is
+    # complete as soon as rem reaches 0.
     def rec(k: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if k == m + 1:
-            if rem == 0:
-                yield ()
+        if rem == 0:
+            yield tuple(ts)
+            return
+        if k > rem:
             return
         for t in range(rem // k, -1, -1):
-            for rest in rec(k + 1, rem - k * t):
-                yield (t,) + rest
+            ts[k - 1] = t
+            yield from rec(k + 1, rem - k * t)
 
     yield from rec(1, m)
 

@@ -29,14 +29,11 @@ def hessenberg_det(entries: Sequence[Fraction]) -> Fraction:
 
 def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
     """D_0..D_m for every leading principal size at once."""
+    # signed[k] = (-1)^k a_{k+1}
+    signed = [-a if k % 2 else a for k, a in enumerate(entries)]
     d = [ONE]
     for m in range(1, len(entries) + 1):
-        d.append(
-            sum(
-                ((-1) ** (k - 1) * entries[k - 1] * d[m - k] for k in range(1, m + 1)),
-                Fraction(0),
-            )
-        )
+        d.append(sum((signed[k] * d[m - 1 - k] for k in range(m)), Fraction(0)))
     return d
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hgnum import closed_forms
 from hgnum.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -12,6 +13,7 @@ from hgnum.cli import (
     format_rational,
     main,
 )
+from hgnum.exact import factorial
 
 
 def run(capsys, *argv):
@@ -135,3 +137,53 @@ class TestVerify:
         monkeypatch.setenv("HGNUM_THREADS", "4")
         code, out, _ = run(capsys, "verify", "--suite", "tangent")
         assert code == EXIT_OK and json.loads(out)["passed"]
+
+
+class TestRejectedInput:
+    """Invalid requests end in exit 2 with a one-line message."""
+
+    def rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_negative_max_n_compute(self, capsys):
+        for method in ("recurrence", "det", "all"):
+            err = self.rejected(
+                capsys, "compute", "--family", "hg-euler", "--N", "1", "--max-n", "-3",
+                "--method", method,
+            )
+            assert "--max-n" in err
+
+    def test_negative_max_n_verify(self, capsys):
+        err = self.rejected(capsys, "verify", "--suite", "tan-maclaurin", "--max-n", "-2")
+        assert "--max-n" in err
+
+    def test_explicit_over_composition_cap(self, capsys):
+        cap = str(closed_forms.DEFAULT_COMPOSITION_CAP)
+        over = str(closed_forms.DEFAULT_COMPOSITION_CAP + 1)
+        for family in ("hg-euler", "comp-hg-euler"):
+            for method in ("explicit", "all"):
+                err = self.rejected(
+                    capsys, "compute", "--family", family, "--N", "1", "--max-n", over,
+                    "--method", method,
+                )
+                assert cap in err
+
+    def test_explicit_at_composition_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "compute", "--family", "hg-euler", "--N", "0", "--max-n",
+            str(closed_forms.DEFAULT_COMPOSITION_CAP), "--method", "explicit",
+        )
+        assert code == EXIT_OK
+        assert list(csv.DictReader(io.StringIO(out)))[6]["value"] == "-61/1"
+
+
+def test_large_N_with_cold_factorials(capsys):
+    factorial.cache_clear()
+    code, out, err = run(capsys, "compute", "--family", "hg-euler", "--N", "3000", "--max-n", "2")
+    assert code == EXIT_OK and err == ""
+    assert list(csv.DictReader(io.StringIO(out)))[2]["value"] == "-1/18009001"

@@ -56,6 +56,14 @@ class TestFactorial:
         with pytest.raises(InvalidParameter):
             factorial(-1)
 
+    def test_cold_miss_does_not_recurse(self):
+        # 5000 is past the interpreter's recursion limit, so a miss that
+        # recursed on n - 1 would raise RecursionError here.
+        factorial.cache_clear()
+        value = factorial(5000)
+        assert isinstance(value, F)
+        assert value == iterated_product(5000)
+
 
 class TestBinomial:
     def test_values(self):
