@@ -190,6 +190,15 @@ def _report_json(report: IdentityReport) -> dict:
     return out
 
 
+def _thread_cap() -> int:
+    """Worker threads for ``verify``: ``HGNUM_THREADS``, at least 1, default 1."""
+    raw = os.environ.get("HGNUM_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise InvalidParameter(f"HGNUM_THREADS must be an integer, got {raw!r}") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n is not None:
         _check_max_n(args.max_n)
@@ -201,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_INVALID
-    workers = max(1, int(os.environ.get("HGNUM_THREADS", "1")))
+    workers = _thread_cap()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [(name, pool.submit(registry[name], args.max_n)) for name in selected]
         reports = [(name, r) for name, fut in futures for r in fut.result()]

@@ -10,7 +10,8 @@ the registry of which route serves which family.
 The per-index functions (``hg_euler_det(N, n)`` and the rest) take the
 number's actual index n, check it, and read it off the table route.  The
 composition-sum route enumerates 2^{n/2 - 1} tuples for index n and is capped
-at n <= 30 by default; pass a larger ``cap`` to go beyond.
+at n <= 30 by default, the Euler-type Trudi route p(n/2) partitions and is
+capped at n <= 60; pass a larger ``cap`` to go beyond.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
 from .families import FamilyId, FamilyKind, table
 
 DEFAULT_COMPOSITION_CAP = 30
+DEFAULT_PARTITION_CAP = 60
 
 EULER_KINDS = (FamilyKind.HG_EULER, FamilyKind.COMP_HG_EULER)
 
@@ -167,11 +169,15 @@ def table_explicit(
     return _spread(column, 2, nmax)
 
 
-def table_trudi(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
+def table_trudi(
+    kind: FamilyKind, N: int, nmax: int, cap: int = DEFAULT_PARTITION_CAP
+) -> list[Fraction]:
     """Each even index from its own Trudi partition expansion of the
     determinant of :func:`table_det`."""
     top = _euler_top(kind, N)
     _check_nmax(nmax)
+    if nmax > cap:
+        raise InvalidParameter(f"index bound {nmax} exceeds the partition-route cap {cap}")
     half = nmax // 2
     w = _euler_weights(top, half)
     # (-1)^m from the determinant prefactor folds into the Brioschi expansion
@@ -236,8 +242,8 @@ def hg_euler_det(N: int, n: int) -> Fraction:
     return table_det(FamilyKind.HG_EULER, N, _euler_index(N, n))[n]
 
 
-def hg_euler_trudi(N: int, n: int) -> Fraction:
-    return table_trudi(FamilyKind.HG_EULER, N, _euler_index(N, n))[n]
+def hg_euler_trudi(N: int, n: int, cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
+    return table_trudi(FamilyKind.HG_EULER, N, _euler_index(N, n), cap)[n]
 
 
 def comp_hg_euler_explicit(N: int, n: int, cap: int = DEFAULT_COMPOSITION_CAP) -> Fraction:
@@ -252,8 +258,8 @@ def comp_hg_euler_det(N: int, n: int) -> Fraction:
     return table_det(FamilyKind.COMP_HG_EULER, N, _euler_index(N, n))[n]
 
 
-def comp_hg_euler_trudi(N: int, n: int) -> Fraction:
-    return table_trudi(FamilyKind.COMP_HG_EULER, N, _euler_index(N, n))[n]
+def comp_hg_euler_trudi(N: int, n: int, cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
+    return table_trudi(FamilyKind.COMP_HG_EULER, N, _euler_index(N, n), cap)[n]
 
 
 def hg_bernoulli_det(N: int, n: int) -> Fraction:

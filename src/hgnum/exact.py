@@ -52,6 +52,54 @@ def multinomial(ts: Sequence[int]) -> Fraction:
     return Fraction(out)
 
 
+def _numerators(column: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The column as integer numerators over one common denominator, the lcm
+    of its denominators."""
+    den = math.lcm(*(x.denominator for x in column))
+    return [x.numerator * (den // x.denominator) for x in column], den
+
+
+def convolve(
+    a: Sequence[Fraction],
+    b: Sequence[Fraction],
+    nmax: int,
+    *,
+    egf: bool = False,
+    weight: Sequence[int] | None = None,
+    divisor: int = 1,
+) -> list[Fraction]:
+    """c_0..c_nmax with c_n = sum_{i=0}^n C(n, i) weight[i] a_i b_{n-i} / divisor.
+
+    The factor C(n, i) is there only with ``egf`` (the product of two
+    exponential generating functions) and weight[i] only with ``weight``.
+    Each column is taken as integer numerators over one common denominator,
+    so the double loop runs on plain ints and skips zero entries; each c_n
+    becomes a Fraction once, at the end.
+    """
+    if nmax < 0:
+        raise InvalidParameter(f"nmax must be nonnegative, got {nmax}")
+    a_num, a_den = _numerators(a[: nmax + 1])
+    b_num, b_den = _numerators(b[: nmax + 1])
+    if len(a_num) <= nmax or len(b_num) <= nmax:
+        raise InvalidParameter(f"convolution to index {nmax} needs {nmax + 1} entries per column")
+    if weight is not None:
+        a_num = [x * weight[i] for i, x in enumerate(a_num)]
+    a_nonzero = [(i, x) for i, x in enumerate(a_num) if x]
+    den = a_den * b_den * divisor
+    comb = math.comb
+    out = []
+    for n in range(nmax + 1):
+        acc = 0
+        for i, x in a_nonzero:
+            if i > n:
+                break
+            y = b_num[n - i]
+            if y:
+                acc += comb(n, i) * x * y if egf else x * y
+        out.append(Fraction(acc, den))
+    return out
+
+
 def rising_factorial(x: Fraction, n: int) -> Fraction:
     """x(x+1)...(x+n-1), with the empty product equal to 1."""
     if n < 0:

@@ -19,6 +19,7 @@ from .exact import (
     ONE,
     ZERO,
     binomial,
+    convolve,
     factorial,
 )
 from .families import (
@@ -61,10 +62,6 @@ def _report(identity_id: str, range_checked: str, failure: FailureWitness | None
     return IdentityReport(identity_id, range_checked, failure is None, failure)
 
 
-class NonzeroImaginaryPart(ArithmeticError):
-    """The Gaussian-rational double sum produced a nonzero imaginary part."""
-
-
 def check_euler_pair_sum(nmax: int = 20) -> IdentityReport:
     """sum_i C(2n, 2i) E_{2i} = 0 for 1 <= n <= nmax."""
     e = hg_euler_recurrence(0, 2 * nmax)
@@ -101,24 +98,35 @@ def check_bernoulli_lemma(nmax: int = 30) -> IdentityReport:
     return _report("bernoulli-lemma", f"1 <= n <= {nmax}", None)
 
 
+def y2_column(N: int, nmax: int) -> list[Fraction]:
+    """Pair sums of products y2(N, n) = sum_i C(2n, 2i) E_{N,2i} E_{N,2n-2i}
+    for 0 <= n <= nmax, all from one table and one EGF square."""
+    e = hg_euler_recurrence(N, 2 * nmax).values
+    return convolve(e, e, 2 * nmax, egf=True)[::2]
+
+
 def y2(N: int, n: int) -> Fraction:
     """Pair sum of products: sum_i C(2n, 2i) E_{N,2i} E_{N,2n-2i}."""
-    e = hg_euler_recurrence(N, 2 * n)
-    return sum(
-        (binomial(2 * n, 2 * i) * e[2 * i] * e[2 * n - 2 * i] for i in range(n + 1)), ZERO
-    )
+    return y2_column(N, n)[n]
+
+
+def _first_mismatch(
+    identity_id: str, range_checked: str, lhs: Sequence[Fraction], rhs: Sequence[Fraction]
+) -> IdentityReport:
+    for n, (left, right) in enumerate(zip(lhs, rhs)):
+        if left != right:
+            return _report(identity_id, range_checked, FailureWitness((n,), left, right))
+    return _report(identity_id, range_checked, None)
 
 
 def check_tangent_closed_form(nmax: int = 12) -> IdentityReport:
     """y2(0, n) = 2^{2n+2} (2^{2n+2} - 1) B_{2n+2} / (2n+2) for 0 <= n <= nmax."""
     b = hg_bernoulli(1, 2 * nmax + 2)
+    rhs = []
     for n in range(nmax + 1):
-        lhs = y2(0, n)
         p = 2 ** (2 * n + 2)
-        rhs = Fraction(p * (p - 1)) * b[2 * n + 2] / (2 * n + 2)
-        if lhs != rhs:
-            return _report("tangent", f"0 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report("tangent", f"0 <= n <= {nmax}", None)
+        rhs.append(Fraction(p * (p - 1)) * b[2 * n + 2] / (2 * n + 2))
+    return _first_mismatch("tangent", f"0 <= n <= {nmax}", y2_column(0, nmax), rhs)
 
 
 def tangent_complex_sum(n: int) -> GaussianRational:
@@ -134,16 +142,20 @@ def tangent_complex_sum(n: int) -> GaussianRational:
 
 
 def check_tangent_complex_sum(nmax: int = 8) -> IdentityReport:
+    """The double sum is real and its real part is y2(0, n) for 0 <= n <= nmax.
+
+    A nonzero imaginary part fails the report with witness ("imag", n), the
+    imaginary part against 0.
+    """
+    rng = f"0 <= n <= {nmax}"
+    expected = y2_column(0, nmax)
     for n in range(nmax + 1):
         val = tangent_complex_sum(n)
         if not val.is_real():
-            raise NonzeroImaginaryPart(f"imaginary part {val.im} at n={n}")
-        expected = y2(0, n)
-        if val.re != expected:
-            return _report(
-                "tangent-complex", f"0 <= n <= {nmax}", FailureWitness((n,), val.re, expected)
-            )
-    return _report("tangent-complex", f"0 <= n <= {nmax}", None)
+            return _report("tangent-complex", rng, FailureWitness(("imag", n), val.im, ZERO))
+        if val.re != expected[n]:
+            return _report("tangent-complex", rng, FailureWitness((n,), val.re, expected[n]))
+    return _report("tangent-complex", rng, None)
 
 
 def check_tan_maclaurin(nmax: int = 12) -> IdentityReport:
@@ -155,113 +167,89 @@ def check_tan_maclaurin(nmax: int = 12) -> IdentityReport:
             return _report(
                 "tan-maclaurin", f"0 <= n <= {nmax}", FailureWitness((m,), tan[m], ZERO)
             )
-    for n in range(nmax + 1):
-        lhs = tan[2 * n + 1]
-        rhs = Fraction((-1) ** n) * y2(0, n) / factorial(2 * n + 1)
-        if lhs != rhs:
-            return _report(
-                "tan-maclaurin", f"0 <= n <= {nmax}", FailureWitness((n,), lhs, rhs)
-            )
-    return _report("tan-maclaurin", f"0 <= n <= {nmax}", None)
+    y = y2_column(0, nmax)
+    rhs = [Fraction((-1) ** n) * y[n] / factorial(2 * n + 1) for n in range(nmax + 1)]
+    return _first_mismatch("tan-maclaurin", f"0 <= n <= {nmax}", tan.coeffs[1::2], rhs)
+
+
+def _index_weight(offset: int, nmax: int) -> list[int]:
+    return [offset - k for k in range(nmax + 1)]
 
 
 def check_sumprod_pair(N: int, nmax: int = 30) -> IdentityReport:
     """sum C(n,i) E_{N,i} E_{N,n-i} = sum C(n,k) (2N-k)/(2N) E_{N,k} Ehat_{N-1,n-k}."""
     if N < 1:
         raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax)
-    ehat = comp_hg_euler_recurrence(N - 1, nmax)
-    ident = f"sumprod-pair(N={N})"
-    for n in range(nmax + 1):
-        lhs = sum((binomial(n, i) * e[i] * e[n - i] for i in range(n + 1)), ZERO)
-        rhs = sum(
-            (
-                binomial(n, k) * Fraction(2 * N - k, 2 * N) * e[k] * ehat[n - k]
-                for k in range(n + 1)
-            ),
-            ZERO,
-        )
-        if lhs != rhs:
-            return _report(ident, f"0 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report(ident, f"0 <= n <= {nmax}", None)
+    e = hg_euler_recurrence(N, nmax).values
+    ehat = comp_hg_euler_recurrence(N - 1, nmax).values
+    lhs = convolve(e, e, nmax, egf=True)
+    rhs = convolve(
+        e, ehat, nmax, egf=True, weight=_index_weight(2 * N, nmax), divisor=2 * N
+    )
+    return _first_mismatch(f"sumprod-pair(N={N})", f"0 <= n <= {nmax}", lhs, rhs)
 
 
 def check_sumprod_pair_comp(N: int, nmax: int = 30) -> IdentityReport:
     """Complementary analogue of the pair identity."""
     if N < 1:
         raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax)
-    ehat = comp_hg_euler_recurrence(N, nmax)
-    ident = f"sumprod-pair-comp(N={N})"
-    for n in range(nmax + 1):
-        lhs = sum((binomial(n, i) * ehat[i] * ehat[n - i] for i in range(n + 1)), ZERO)
-        rhs = sum(
-            (
-                binomial(n, k) * Fraction(2 * N - k + 1, 2 * N + 1) * ehat[k] * e[n - k]
-                for k in range(n + 1)
-            ),
-            ZERO,
-        )
-        if lhs != rhs:
-            return _report(ident, f"0 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report(ident, f"0 <= n <= {nmax}", None)
+    e = hg_euler_recurrence(N, nmax).values
+    ehat = comp_hg_euler_recurrence(N, nmax).values
+    lhs = convolve(ehat, ehat, nmax, egf=True)
+    rhs = convolve(
+        ehat, e, nmax, egf=True, weight=_index_weight(2 * N + 1, nmax), divisor=2 * N + 1
+    )
+    return _first_mismatch(f"sumprod-pair-comp(N={N})", f"0 <= n <= {nmax}", lhs, rhs)
+
+
+def _egf_cube(values: Sequence[Fraction], nmax: int) -> list[Fraction]:
+    # n! [t^n] (sum v_i t^i / i!)^3 for n = 0..nmax
+    return convolve(convolve(values, values, nmax, egf=True), values, nmax, egf=True)
 
 
 def trinomial_convolution(values: Sequence[Fraction], n: int) -> Fraction:
     """sum over i1+i2+i3 = n of n!/(i1! i2! i3!) v_{i1} v_{i2} v_{i3}."""
-    total = ZERO
-    for i1 in range(n + 1):
-        for i2 in range(n - i1 + 1):
-            i3 = n - i1 - i2
-            total += (
-                factorial(n) / (factorial(i1) * factorial(i2) * factorial(i3))
-                * values[i1] * values[i2] * values[i3]
-            )
-    return total
+    return _egf_cube(values, n)[n]
 
 
 def check_sumprod_trinomial(N: int, nmax: int = 30) -> IdentityReport:
-    """Trinomial sums of products for the main family."""
+    """Trinomial sums of products for the main family:
+
+    sum n!/(i1! i2! i3!) E_{i1} E_{i2} E_{i3}
+      = sum_m sum_k C(n,m) C(m,k) (4N-m)(2N-k)/(8N^2) E_k Ehat_{N-1,n-m} Ehat_{N-1,m-k},
+
+    the right side as the inner convolution over k, weighted by 2N-k, inside
+    the outer one over m, weighted by 4N-m.
+    """
     if N < 1:
         raise InvalidParameter(f"trinomial sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax)
-    ehat = comp_hg_euler_recurrence(N - 1, nmax)
-    ident = f"sumprod-trinomial(N={N})"
-    for n in range(nmax + 1):
-        lhs = trinomial_convolution(e.values, n)
-        rhs = ZERO
-        for m in range(n + 1):
-            for k in range(m + 1):
-                rhs += (
-                    binomial(n, m) * binomial(m, k)
-                    * Fraction((4 * N - m) * (2 * N - k), 8 * N * N)
-                    * e[k] * ehat[n - m] * ehat[m - k]
-                )
-        if lhs != rhs:
-            return _report(ident, f"0 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report(ident, f"0 <= n <= {nmax}", None)
+    e = hg_euler_recurrence(N, nmax).values
+    ehat = comp_hg_euler_recurrence(N - 1, nmax).values
+    inner = convolve(e, ehat, nmax, egf=True, weight=_index_weight(2 * N, nmax))
+    rhs = convolve(
+        inner, ehat, nmax, egf=True, weight=_index_weight(4 * N, nmax), divisor=8 * N * N
+    )
+    return _first_mismatch(
+        f"sumprod-trinomial(N={N})", f"0 <= n <= {nmax}", _egf_cube(e, nmax), rhs
+    )
 
 
 def check_sumprod_trinomial_comp(N: int, nmax: int = 30) -> IdentityReport:
-    """Trinomial sums of products for the complementary family."""
+    """Trinomial sums of products for the complementary family: as
+    :func:`check_sumprod_trinomial` with the families swapped, N-1 replaced
+    by N and the weights (4N-m+2)(2N-k+1)/(2(2N+1)^2)."""
     if N < 1:
         raise InvalidParameter(f"trinomial sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax)
-    ehat = comp_hg_euler_recurrence(N, nmax)
-    ident = f"sumprod-trinomial-comp(N={N})"
-    for n in range(nmax + 1):
-        lhs = trinomial_convolution(ehat.values, n)
-        rhs = ZERO
-        for m in range(n + 1):
-            for k in range(m + 1):
-                rhs += (
-                    binomial(n, m) * binomial(m, k)
-                    * Fraction((4 * N - m + 2) * (2 * N - k + 1), 2 * (2 * N + 1) ** 2)
-                    * ehat[k] * e[n - m] * e[m - k]
-                )
-        if lhs != rhs:
-            return _report(ident, f"0 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report(ident, f"0 <= n <= {nmax}", None)
+    e = hg_euler_recurrence(N, nmax).values
+    ehat = comp_hg_euler_recurrence(N, nmax).values
+    inner = convolve(ehat, e, nmax, egf=True, weight=_index_weight(2 * N + 1, nmax))
+    rhs = convolve(
+        inner, e, nmax, egf=True, weight=_index_weight(4 * N + 2, nmax),
+        divisor=2 * (2 * N + 1) ** 2,
+    )
+    return _first_mismatch(
+        f"sumprod-trinomial-comp(N={N})", f"0 <= n <= {nmax}", _egf_cube(ehat, nmax), rhs
+    )
 
 
 def _first_diff(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import InvalidParameter, ONE, ZERO, binomial, factorial
+from .exact import InvalidParameter, ONE, ZERO, binomial, convolve, factorial
 
 
 class ZeroConstantTerm(ValueError):
@@ -85,10 +85,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
-        out = []
-        for n in range(m + 1):
-            out.append(sum((self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1)), ZERO))
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(convolve(self.coeffs, other.coeffs, m)))
 
     def pow(self, k: int) -> "TruncatedSeries":
         if k < 0:

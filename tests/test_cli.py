@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum import closed_forms
+from hgnum import closed_forms, identities
 from hgnum.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -13,7 +13,7 @@ from hgnum.cli import (
     format_rational,
     main,
 )
-from hgnum.exact import factorial
+from hgnum.exact import GaussianRational, factorial
 
 
 def run(capsys, *argv):
@@ -138,6 +138,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "tangent")
         assert code == EXIT_OK and json.loads(out)["passed"]
 
+    def test_imaginary_part_fails_the_suite(self, capsys, monkeypatch):
+        real = identities.tangent_complex_sum
+
+        def leaky(n):
+            val = real(n)
+            return GaussianRational.of(val.re, F(1, 5)) if n == 3 else val
+
+        monkeypatch.setattr(identities, "tangent_complex_sum", leaky)
+        code, out, err = run(capsys, "verify", "--suite", "tangent-complex", "--max-n", "5")
+        assert code == EXIT_VERIFY_FAILED
+        assert err.count("\n") == 1 and err.startswith("FAIL tangent-complex/tangent-complex")
+        assert "Traceback" not in err
+        failure = json.loads(out)["suites"][0]["first_failure"]
+        assert failure == {"indices": ["imag", "3"], "lhs": "1/5", "rhs": "0/1"}
+
 
 class TestRejectedInput:
     """Invalid requests end in exit 2 with a one-line message."""
@@ -172,6 +187,22 @@ class TestRejectedInput:
                     "--method", method,
                 )
                 assert cap in err
+
+    def test_trudi_over_partition_cap(self, capsys):
+        cap = str(closed_forms.DEFAULT_PARTITION_CAP)
+        over = str(closed_forms.DEFAULT_PARTITION_CAP + 1)
+        for family in ("hg-euler", "comp-hg-euler"):
+            err = self.rejected(
+                capsys, "compute", "--family", family, "--N", "1", "--max-n", over,
+                "--method", "trudi",
+            )
+            assert cap in err
+
+    def test_thread_cap_not_an_integer(self, capsys, monkeypatch):
+        for value in ("abc", "2.5", ""):
+            monkeypatch.setenv("HGNUM_THREADS", value)
+            err = self.rejected(capsys, "verify", "--suite", "tangent")
+            assert "HGNUM_THREADS" in err
 
     def test_explicit_at_composition_cap(self, capsys):
         code, out, _ = run(

@@ -1,0 +1,320 @@
+"""The exact convolution kernel and the checkers built on it, against the
+per-index Fraction loops they replaced.
+
+The ``reference_*`` functions below are those loops, kept here as oracles:
+each sums every term of its identity for each n on its own, in Fraction
+arithmetic, with ``exact.binomial`` and ``exact.factorial``.  They read their
+tables through the ``identities`` module, so a table patched there reaches
+the checker and its oracle alike.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hgnum import identities
+from hgnum.exact import InvalidParameter, ZERO, binomial, convolve, factorial
+from hgnum.families import NumberTable
+from hgnum.identities import FailureWitness, IdentityReport
+from hgnum.series import TruncatedSeries
+
+
+def naive_convolution(a, b, nmax, egf=False, weight=None, divisor=1):
+    return [
+        sum(
+            (
+                (math.comb(n, i) if egf else 1) * (weight[i] if weight else 1) * a[i] * b[n - i]
+                for i in range(n + 1)
+            ),
+            ZERO,
+        ) / divisor
+        for n in range(nmax + 1)
+    ]
+
+
+def reference_report(identity_id, nmax, lhs_at, rhs_at):
+    for n in range(nmax + 1):
+        lhs, rhs = lhs_at(n), rhs_at(n)
+        if lhs != rhs:
+            return IdentityReport(identity_id, f"0 <= n <= {nmax}", False,
+                                  FailureWitness((n,), lhs, rhs))
+    return IdentityReport(identity_id, f"0 <= n <= {nmax}", True)
+
+
+def reference_y2(N, n):
+    e = identities.hg_euler_recurrence(N, 2 * n)
+    return sum((binomial(2 * n, 2 * i) * e[2 * i] * e[2 * n - 2 * i] for i in range(n + 1)), ZERO)
+
+
+def reference_trinomial_convolution(values, n):
+    total = ZERO
+    for i1 in range(n + 1):
+        for i2 in range(n - i1 + 1):
+            i3 = n - i1 - i2
+            total += (
+                factorial(n) / (factorial(i1) * factorial(i2) * factorial(i3))
+                * values[i1] * values[i2] * values[i3]
+            )
+    return total
+
+
+def _pair_lhs(v):
+    return lambda n: sum((binomial(n, i) * v[i] * v[n - i] for i in range(n + 1)), ZERO)
+
+
+def reference_sumprod_pair(N, nmax):
+    e = identities.hg_euler_recurrence(N, nmax)
+    ehat = identities.comp_hg_euler_recurrence(N - 1, nmax)
+    return reference_report(
+        f"sumprod-pair(N={N})", nmax, _pair_lhs(e),
+        lambda n: sum(
+            (binomial(n, k) * F(2 * N - k, 2 * N) * e[k] * ehat[n - k] for k in range(n + 1)),
+            ZERO,
+        ),
+    )
+
+
+def reference_sumprod_pair_comp(N, nmax):
+    e = identities.hg_euler_recurrence(N, nmax)
+    ehat = identities.comp_hg_euler_recurrence(N, nmax)
+    return reference_report(
+        f"sumprod-pair-comp(N={N})", nmax, _pair_lhs(ehat),
+        lambda n: sum(
+            (
+                binomial(n, k) * F(2 * N - k + 1, 2 * N + 1) * ehat[k] * e[n - k]
+                for k in range(n + 1)
+            ),
+            ZERO,
+        ),
+    )
+
+
+def reference_sumprod_trinomial(N, nmax):
+    e = identities.hg_euler_recurrence(N, nmax)
+    ehat = identities.comp_hg_euler_recurrence(N - 1, nmax)
+
+    def rhs(n):
+        total = ZERO
+        for m in range(n + 1):
+            for k in range(m + 1):
+                total += (
+                    binomial(n, m) * binomial(m, k)
+                    * F((4 * N - m) * (2 * N - k), 8 * N * N)
+                    * e[k] * ehat[n - m] * ehat[m - k]
+                )
+        return total
+
+    return reference_report(
+        f"sumprod-trinomial(N={N})", nmax,
+        lambda n: reference_trinomial_convolution(e.values, n), rhs,
+    )
+
+
+def reference_sumprod_trinomial_comp(N, nmax):
+    e = identities.hg_euler_recurrence(N, nmax)
+    ehat = identities.comp_hg_euler_recurrence(N, nmax)
+
+    def rhs(n):
+        total = ZERO
+        for m in range(n + 1):
+            for k in range(m + 1):
+                total += (
+                    binomial(n, m) * binomial(m, k)
+                    * F((4 * N - m + 2) * (2 * N - k + 1), 2 * (2 * N + 1) ** 2)
+                    * ehat[k] * e[n - m] * e[m - k]
+                )
+        return total
+
+    return reference_report(
+        f"sumprod-trinomial-comp(N={N})", nmax,
+        lambda n: reference_trinomial_convolution(ehat.values, n), rhs,
+    )
+
+
+def reference_tangent(nmax):
+    b = identities.hg_bernoulli(1, 2 * nmax + 2)
+    return reference_report(
+        "tangent", nmax, lambda n: reference_y2(0, n),
+        lambda n: F(4 ** (n + 1) * (4 ** (n + 1) - 1)) * b[2 * n + 2] / (2 * n + 2),
+    )
+
+
+def reference_tangent_complex(nmax):
+    # the double sum is real for every n in these tests
+    return reference_report(
+        "tangent-complex", nmax, lambda n: identities.tangent_complex_sum(n).re,
+        lambda n: reference_y2(0, n),
+    )
+
+
+def reference_tan_maclaurin(nmax):
+    # the even coefficients vanish; the odd ones are compared per n
+    order = 2 * nmax + 1
+    tan = identities.gen_sin(order) * identities.gen_cos(order).reciprocal()
+    return reference_report(
+        "tan-maclaurin", nmax, lambda n: tan[2 * n + 1],
+        lambda n: F((-1) ** n) * reference_y2(0, n) / factorial(2 * n + 1),
+    )
+
+
+SUMPROD = [
+    (identities.check_sumprod_pair, reference_sumprod_pair),
+    (identities.check_sumprod_pair_comp, reference_sumprod_pair_comp),
+    (identities.check_sumprod_trinomial, reference_sumprod_trinomial),
+    (identities.check_sumprod_trinomial_comp, reference_sumprod_trinomial_comp),
+]
+TANGENT = [
+    (identities.check_tangent_closed_form, reference_tangent),
+    (identities.check_tangent_complex_sum, reference_tangent_complex),
+    (identities.check_tan_maclaurin, reference_tan_maclaurin),
+]
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+entries = st.one_of(
+    st.just(ZERO),
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 7, 11, 97, 1024, 9973])),
+)
+
+
+@st.composite
+def convolution_cases(draw):
+    length = draw(st.integers(1, 14))
+    a = draw(st.lists(entries, min_size=length, max_size=length + 3))
+    b = draw(st.lists(entries, min_size=length, max_size=length + 3))
+    nmax = draw(st.integers(0, length - 1))
+    weight = draw(st.one_of(st.none(), st.lists(
+        st.integers(-40, 40), min_size=len(a), max_size=len(a))))
+    return a, b, nmax, draw(st.booleans()), weight, draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(convolution_cases())
+def test_kernel_matches_naive_sums(case):
+    a, b, nmax, egf, weight, divisor = case
+    got = convolve(a, b, nmax, egf=egf, weight=weight, divisor=divisor)
+    assert got == naive_convolution(a, b, nmax, egf, weight, divisor)
+    assert all(type(v) is F for v in got)
+
+
+def test_kernel_on_integer_entries_and_tuples():
+    a = (1, 0, -2, 0, 5)
+    assert convolve(a, a, 4, egf=True) == naive_convolution(a, a, 4, egf=True)
+    assert convolve(a, [F(1, 3)] * 5, 4) == naive_convolution(a, [F(1, 3)] * 5, 4)
+
+
+def test_kernel_guards():
+    with pytest.raises(InvalidParameter):
+        convolve([F(1)], [F(1)], -1)
+    with pytest.raises(InvalidParameter):
+        convolve([F(1)] * 3, [F(1)] * 2, 2)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(entries, min_size=1, max_size=12), st.lists(entries, min_size=1, max_size=12))
+def test_series_mul_matches_naive_product(a, b):
+    got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+    m = min(len(a), len(b)) - 1
+    assert got.coeffs == tuple(
+        sum((a[i] * b[n - i] for i in range(n + 1)), ZERO) for n in range(m + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the checkers and views, on the true tables
+
+@pytest.mark.parametrize("check, reference", SUMPROD)
+@pytest.mark.parametrize("N", range(1, 7))
+def test_sumprod_checkers_match_reference(check, reference, N):
+    for nmax in (0, 1, 7, 20):
+        got = check(N, nmax)
+        assert got == reference(N, nmax)
+        assert got.passed
+
+
+@pytest.mark.parametrize("check, reference", TANGENT)
+def test_tangent_checkers_match_reference(check, reference):
+    for nmax in (0, 3, 8):
+        got = check(nmax)
+        assert got == reference(nmax)
+        assert got.passed
+
+
+@pytest.mark.parametrize("N", range(0, 7))
+def test_y2_column_matches_reference(N):
+    column = identities.y2_column(N, 10)
+    assert column == [reference_y2(N, n) for n in range(11)]
+    assert identities.y2(N, 10) == column[10]
+
+
+def test_trinomial_convolution_matches_reference():
+    e = identities.hg_euler_recurrence(2, 20).values
+    ehat = identities.comp_hg_euler_recurrence(3, 20).values
+    for n in (0, 1, 2, 9, 20):
+        assert identities.trinomial_convolution(e, n) == reference_trinomial_convolution(e, n)
+        assert identities.trinomial_convolution(ehat, n) == reference_trinomial_convolution(ehat, n)
+
+
+# ---------------------------------------------------------------------------
+# the checkers on a doctored table: the same first witness as the oracle
+
+def perturb(monkeypatch, name, N, index, delta):
+    """Make identities.<name>(N, .) return its table with ``delta`` added at
+    ``index`` (tables for other N are left alone)."""
+    original = getattr(identities, name)
+
+    def doctored(n_param, nmax):
+        tab = original(n_param, nmax)
+        if n_param != N or index > nmax:
+            return tab
+        values = list(tab.values)
+        values[index] += delta
+        return NumberTable(tab.family, tuple(values))
+
+    monkeypatch.setattr(identities, name, doctored)
+
+
+@pytest.mark.parametrize("check, reference", SUMPROD)
+@pytest.mark.parametrize(
+    "name, shift, index, delta",
+    [
+        ("hg_euler_recurrence", 0, 4, F(1, 7)),
+        ("hg_euler_recurrence", 0, 5, F(-3, 11)),
+        ("comp_hg_euler_recurrence", 0, 6, F(2, 5)),
+        ("comp_hg_euler_recurrence", -1, 3, F(1, 13)),
+    ],
+)
+def test_sumprod_witness_on_perturbed_table(monkeypatch, check, reference, name, shift, index, delta):
+    N = 2
+    perturb(monkeypatch, name, N + shift, index, delta)
+    got = check(N, 12)
+    want = reference(N, 12)
+    assert got == want
+
+
+@pytest.mark.parametrize("check, reference", TANGENT)
+@pytest.mark.parametrize("index, delta", [(4, F(1, 3)), (0, F(-2, 9))])
+def test_tangent_witness_on_perturbed_table(monkeypatch, check, reference, index, delta):
+    perturb(monkeypatch, "hg_euler_recurrence", 0, index, delta)
+    got = check(6)
+    assert not got.passed
+    assert got == reference(6)
+
+
+def test_tangent_complex_reports_imaginary_part(monkeypatch):
+    real = identities.tangent_complex_sum
+
+    def leaky(n):
+        val = real(n)
+        return type(val)(val.re, F(1, 5)) if n == 2 else val
+
+    monkeypatch.setattr(identities, "tangent_complex_sum", leaky)
+    report = identities.check_tangent_complex_sum(4)
+    assert not report.passed
+    assert report.first_failure == FailureWitness(("imag", 2), F(1, 5), ZERO)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hgnum.closed_forms import (
     DEFAULT_COMPOSITION_CAP,
+    DEFAULT_PARTITION_CAP,
     EULER_KINDS,
     comp_hg_euler_binomial,
     comp_hg_euler_det,
@@ -22,6 +23,7 @@ from hgnum.closed_forms import (
     hg_euler_trudi,
     table_explicit,
     table_routes,
+    table_trudi,
 )
 from hgnum.exact import InvalidParameter
 from hgnum.families import FamilyId, FamilyKind, table
@@ -126,3 +128,13 @@ def test_explicit_cap():
         table_explicit(kind, 0, DEFAULT_COMPOSITION_CAP + 1)
     assert table_explicit(kind, 0, 4, cap=4) == [1, 0, -1, 0, 5]
     assert table_explicit(kind, 0, 6, cap=6)[6] == F(-61)
+
+
+def test_trudi_cap():
+    kind = FamilyKind.COMP_HG_EULER
+    with pytest.raises(InvalidParameter, match=str(DEFAULT_PARTITION_CAP)):
+        table_trudi(kind, 0, DEFAULT_PARTITION_CAP + 1)
+    with pytest.raises(InvalidParameter, match="cap 6"):
+        comp_hg_euler_trudi(0, 8, cap=6)
+    assert table_trudi(kind, 0, 4, cap=4) == [1, 0, F(-1, 3), 0, F(7, 15)]
+    assert hg_euler_trudi(0, 8, cap=8) == F(1385)
