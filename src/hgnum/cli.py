@@ -36,7 +36,9 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_VERIFY_FAILED = 4
 
-_METHODS = ("recurrence", "series", "explicit", "binomial", "det", "trudi")
+_METHODS = ("recurrence", "series") + tuple(
+    dict.fromkeys(method for _, method in closed_forms.table_routes())
+)
 
 
 def format_rational(v: Fraction) -> str:

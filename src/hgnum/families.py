@@ -1,5 +1,9 @@
 """Number tables for the four families, by recurrence and by series reciprocal.
 
+Each family is one :class:`FamilySpec` in :data:`SPECS`: v_n = n! [t^n] 1/F(t)
+for one hypergeometric denominator F, whose coefficients a_0 = 1, a_1, ... sit
+at the multiples of a stride (2 for the Euler types, 1 otherwise).
+
 Tables store the numbers themselves (with the n! factored in), not EGF
 coefficients, and keep explicit zeros at odd indices for the two Euler-type
 families so that binomial-convolution identities can index over every n.
@@ -10,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable
 
 from .exact import InvalidParameter, ONE, ZERO, factorial
 from .series import (
@@ -30,17 +34,44 @@ class FamilyKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class FamilySpec:
+    """``denominator(N, order)`` is F up to t^order.  ``recurrence(N, nmax)``,
+    if given, is the family's table route, a recurrence on the numbers.
+    ``expansions``: the family has the composition, binomial and Trudi
+    expansions and the inverse pairing (the paper's Euler-type results)."""
+
+    least_N: int
+    stride: int
+    denominator: Callable[[int, int], TruncatedSeries]
+    recurrence: Callable[[int, int], tuple[Fraction, ...]] | None = None
+    expansions: bool = False
+
+
+def _check_nmax(nmax: int) -> None:
+    if nmax < 0:
+        raise InvalidParameter(f"nmax must be nonnegative, got {nmax}")
+
+
+@dataclass(frozen=True)
 class FamilyId:
     kind: FamilyKind
     N: int
 
     def __post_init__(self) -> None:
-        if self.kind in (FamilyKind.HG_EULER, FamilyKind.COMP_HG_EULER):
-            if self.N < 0:
-                raise InvalidParameter(f"{self.kind.value} needs N >= 0, got {self.N}")
-        else:
-            if self.N < 1:
-                raise InvalidParameter(f"{self.kind.value} needs N >= 1, got {self.N}")
+        least = self.spec.least_N
+        if self.N < least:
+            raise InvalidParameter(f"{self.kind.value} needs N >= {least}, got {self.N}")
+
+    @property
+    def spec(self) -> FamilySpec:
+        return SPECS[self.kind]
+
+    def weights(self, nmax: int) -> list[Fraction]:
+        """a_0..a_m with m = nmax // stride: the denominator coefficients
+        that v_0..v_nmax depend on."""
+        _check_nmax(nmax)
+        stride = self.spec.stride
+        return list(denominator_series(self, nmax - nmax % stride).coeffs[::stride])
 
 
 @dataclass(frozen=True)
@@ -54,20 +85,6 @@ class NumberTable:
     @property
     def nmax(self) -> int:
         return len(self.values) - 1
-
-
-def hg_euler_recurrence(N: int, nmax: int) -> NumberTable:
-    """Convolution recurrence for the main family; odd entries are zero."""
-    fam = FamilyId(FamilyKind.HG_EULER, N)
-    values = _even_convolution_recurrence(2 * N, nmax)
-    return NumberTable(fam, values)
-
-
-def comp_hg_euler_recurrence(N: int, nmax: int) -> NumberTable:
-    """Convolution recurrence for the complementary family; odd entries are zero."""
-    fam = FamilyId(FamilyKind.COMP_HG_EULER, N)
-    values = _even_convolution_recurrence(2 * N + 1, nmax)
-    return NumberTable(fam, values)
 
 
 def _even_convolution_recurrence(w: int, nmax: int) -> tuple[Fraction, ...]:
@@ -86,41 +103,58 @@ def _even_convolution_recurrence(w: int, nmax: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def hg_bernoulli(N: int, nmax: int) -> NumberTable:
-    fam = FamilyId(FamilyKind.HG_BERNOULLI, N)
-    return NumberTable(fam, gen_hgbernoulli_denom(N, nmax).reciprocal().egf_values())
-
-
-def hg_cauchy(N: int, nmax: int) -> NumberTable:
-    fam = FamilyId(FamilyKind.HG_CAUCHY, N)
-    return NumberTable(fam, gen_hgcauchy_denom(N, nmax).reciprocal().egf_values())
+# The Euler-type denominators are sum w!/(w+2j)! t^{2j} with w = 2N (hg-euler)
+# or 2N+1 (comp-hg-euler); the recurrence takes the same w.
+SPECS: dict[FamilyKind, FamilySpec] = {
+    FamilyKind.HG_EULER: FamilySpec(
+        least_N=0, stride=2, denominator=gen_f, expansions=True,
+        recurrence=lambda N, nmax: _even_convolution_recurrence(2 * N, nmax),
+    ),
+    FamilyKind.COMP_HG_EULER: FamilySpec(
+        least_N=0, stride=2, denominator=gen_fhat, expansions=True,
+        recurrence=lambda N, nmax: _even_convolution_recurrence(2 * N + 1, nmax),
+    ),
+    FamilyKind.HG_BERNOULLI: FamilySpec(least_N=1, stride=1, denominator=gen_hgbernoulli_denom),
+    FamilyKind.HG_CAUCHY: FamilySpec(least_N=1, stride=1, denominator=gen_hgcauchy_denom),
+}
 
 
 def denominator_series(family: FamilyId, order: int) -> TruncatedSeries:
     """The series whose reciprocal's EGF defines the family."""
-    if family.kind is FamilyKind.HG_EULER:
-        return gen_f(family.N, order)
-    if family.kind is FamilyKind.COMP_HG_EULER:
-        return gen_fhat(family.N, order)
-    if family.kind is FamilyKind.HG_BERNOULLI:
-        return gen_hgbernoulli_denom(family.N, order)
-    return gen_hgcauchy_denom(family.N, order)
+    return family.spec.denominator(family.N, order)
 
 
 def via_series(family: FamilyId, nmax: int) -> NumberTable:
     """Definition route: EGF extraction of the reciprocal denominator series."""
+    _check_nmax(nmax)
     return NumberTable(family, denominator_series(family, nmax).reciprocal().egf_values())
 
 
 def table(family: FamilyId, nmax: int) -> NumberTable:
-    """Recurrence route where one exists, series route otherwise."""
-    if family.kind is FamilyKind.HG_EULER:
-        return hg_euler_recurrence(family.N, nmax)
-    if family.kind is FamilyKind.COMP_HG_EULER:
-        return comp_hg_euler_recurrence(family.N, nmax)
-    if family.kind is FamilyKind.HG_BERNOULLI:
-        return hg_bernoulli(family.N, nmax)
-    return hg_cauchy(family.N, nmax)
+    """Recurrence route where the family has one, series route otherwise."""
+    recurrence = family.spec.recurrence
+    if recurrence is None:
+        return via_series(family, nmax)
+    _check_nmax(nmax)
+    return NumberTable(family, recurrence(family.N, nmax))
+
+
+def hg_euler_recurrence(N: int, nmax: int) -> NumberTable:
+    """Convolution recurrence for the main family; odd entries are zero."""
+    return table(FamilyId(FamilyKind.HG_EULER, N), nmax)
+
+
+def comp_hg_euler_recurrence(N: int, nmax: int) -> NumberTable:
+    """Convolution recurrence for the complementary family; odd entries are zero."""
+    return table(FamilyId(FamilyKind.COMP_HG_EULER, N), nmax)
+
+
+def hg_bernoulli(N: int, nmax: int) -> NumberTable:
+    return table(FamilyId(FamilyKind.HG_BERNOULLI, N), nmax)
+
+
+def hg_cauchy(N: int, nmax: int) -> NumberTable:
+    return table(FamilyId(FamilyKind.HG_CAUCHY, N), nmax)
 
 
 def closed_small(kind: FamilyKind, N: int, k: int) -> Fraction:

@@ -10,25 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exact import (
     GaussianRational,
     I_POWERS,
     InvalidParameter,
-    ONE,
     ZERO,
     binomial,
     convolve,
     factorial,
 )
-from .families import (
-    FamilyId,
-    FamilyKind,
-    comp_hg_euler_recurrence,
-    hg_bernoulli,
-    hg_euler_recurrence,
-)
+from .families import comp_hg_euler_recurrence, hg_bernoulli, hg_euler_recurrence
 from .series import (
     TruncatedSeries,
     gen_cos,
@@ -292,10 +285,8 @@ def check_series_identities(N: int, M: int = 24) -> IdentityReport:
         fk = gen_fk(k, M)
         acc = TruncatedSeries.zero(M - k if M >= k else 0)
         for i in range(k + 1):
-            d = fk
-            for _ in range(i):
-                d = d.derivative()
-            term = d.scale(binomial(k, i) / factorial(i))
+            # the divided-power derivative is f^{(i)}/i!
+            term = fk.hasse_teichmuller(i).scale(binomial(k, i))
             for _ in range(i):
                 term = term.times_t()
             acc = acc + term

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable
 
-from .exact import InvalidParameter, ONE, ZERO, binomial, convolve, factorial
+from .exact import InvalidParameter, ONE, ZERO, convolve, factorial
 
 
 class ZeroConstantTerm(ValueError):
@@ -125,7 +126,7 @@ class TruncatedSeries:
         if n > self.order:
             return TruncatedSeries.zero(0)
         return TruncatedSeries(
-            tuple(self.coeffs[m] * binomial(m, n) for m in range(n, self.order + 1))
+            tuple(self.coeffs[m] * comb(m, n) for m in range(n, self.order + 1))
         )
 
     def times_t(self) -> "TruncatedSeries":
