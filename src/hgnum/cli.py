@@ -94,8 +94,11 @@ def _write_records(records: list[OutputRecord], fmt: str, out_path: str | None) 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

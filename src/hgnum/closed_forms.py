@@ -18,10 +18,11 @@ capped at n <= 60; pass a larger ``cap`` to go beyond.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import InvalidParameter, ONE, ZERO, binomial, compositions, convolve, factorial
+from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factorial
 from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table
 
@@ -91,7 +92,7 @@ def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     column = [ONE] + [
         factorial(s * m) * sum(
             (
-                Fraction((-1) ** k) * binomial(s * m + 1, k + 1) * powers[k][m]
+                (-1) ** k * math.comb(s * m + 1, k + 1) * powers[k][m]
                 for k in range(1, s * m + 1)
             ),
             ZERO,

@@ -193,15 +193,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by Gaussian zero")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
     def is_real(self) -> bool:
         return self.im == 0
 

@@ -7,11 +7,16 @@ at the multiples of a stride (2 for the Euler types, 1 otherwise).
 Tables store the numbers themselves (with the n! factored in), not EGF
 coefficients, and keep explicit zeros at odd indices for the two Euler-type
 families so that binomial-convolution identities can index over every n.
+:func:`table` keeps the longest table of each recently used family (a bounded
+memo) and answers shorter requests with a prefix; :func:`via_series` always
+computes afresh.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -130,13 +135,38 @@ def via_series(family: FamilyId, nmax: int) -> NumberTable:
     return NumberTable(family, denominator_series(family, nmax).reciprocal().egf_values())
 
 
+# The longest table built so far for each of the last MEMO_FAMILIES families
+# asked for, least recently used first.  The identity checkers read the same
+# few families over and over at different lengths; a request no longer than
+# the entry is answered with a prefix of it.  The lock is there because
+# ``verify`` may run its suites on several threads.
+MEMO_FAMILIES = 32
+_memo: OrderedDict[FamilyId, tuple[Fraction, ...]] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def table(family: FamilyId, nmax: int) -> NumberTable:
-    """Recurrence route where the family has one, series route otherwise."""
+    """Recurrence route where the family has one, series route otherwise;
+    a prefix of the memo's entry when that is long enough."""
+    _check_nmax(nmax)
+    with _memo_lock:
+        values = _memo.get(family)
+        if values is not None and len(values) > nmax:
+            _memo.move_to_end(family)
+            return NumberTable(family, values[: nmax + 1])
     recurrence = family.spec.recurrence
     if recurrence is None:
-        return via_series(family, nmax)
-    _check_nmax(nmax)
-    return NumberTable(family, recurrence(family.N, nmax))
+        values = via_series(family, nmax).values
+    else:
+        values = recurrence(family.N, nmax)
+    with _memo_lock:
+        held = _memo.get(family)
+        if held is None or len(held) < len(values):
+            _memo[family] = values
+        _memo.move_to_end(family)
+        while len(_memo) > MEMO_FAMILIES:
+            _memo.popitem(last=False)
+    return NumberTable(family, values)
 
 
 def hg_euler_recurrence(N: int, nmax: int) -> NumberTable:

@@ -8,19 +8,12 @@ never from each other's intermediates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (
-    GaussianRational,
-    I_POWERS,
-    InvalidParameter,
-    ZERO,
-    binomial,
-    convolve,
-    factorial,
-)
+from .exact import GaussianRational, I_POWERS, InvalidParameter, ZERO, convolve, factorial
 from .families import comp_hg_euler_recurrence, hg_bernoulli, hg_euler_recurrence
 from .series import (
     TruncatedSeries,
@@ -57,9 +50,12 @@ def _report(identity_id: str, range_checked: str, failure: FailureWitness | None
 
 def check_euler_pair_sum(nmax: int = 20) -> IdentityReport:
     """sum_i C(2n, 2i) E_{2i} = 0 for 1 <= n <= nmax."""
-    e = hg_euler_recurrence(0, 2 * nmax)
+    e = hg_euler_recurrence(0, 2 * nmax).values
+    # the EGF product of the even part of E with e^t, read at the even indices
+    even = [v if i % 2 == 0 else ZERO for i, v in enumerate(e)]
+    sums = convolve(even, [1] * (2 * nmax + 1), 2 * nmax, egf=True)
     for n in range(1, nmax + 1):
-        lhs = sum((binomial(2 * n, 2 * i) * e[2 * i] for i in range(n + 1)), ZERO)
+        lhs = sums[2 * n]
         if lhs != 0:
             return _report("euler-pair-sum", f"1 <= n <= {nmax}", FailureWitness((n,), lhs, ZERO))
     return _report("euler-pair-sum", f"1 <= n <= {nmax}", None)
@@ -80,11 +76,14 @@ def check_E1_bernoulli(nmax: int = 60) -> IdentityReport:
 def check_bernoulli_lemma(nmax: int = 30) -> IdentityReport:
     """sum_i (i-1) B_i / ((n-i+2)! i!) is 0 for even n and -B_{n+1}/n! for odd n."""
     b = hg_bernoulli(1, nmax + 1)
+    lhs_column = convolve(
+        [b[i] / math.factorial(i) for i in range(nmax + 1)],
+        [Fraction(1, math.factorial(j + 2)) for j in range(nmax + 1)],
+        nmax,
+        weight=[i - 1 for i in range(nmax + 1)],
+    )
     for n in range(1, nmax + 1):
-        lhs = sum(
-            ((i - 1) * b[i] / (factorial(n - i + 2) * factorial(i)) for i in range(n + 1)),
-            ZERO,
-        )
+        lhs = lhs_column[n]
         rhs = ZERO if n % 2 == 0 else -b[n + 1] / factorial(n)
         if lhs != rhs:
             return _report("bernoulli-lemma", f"1 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
@@ -126,11 +125,11 @@ def tangent_complex_sum(n: int) -> GaussianRational:
     """The Gaussian-rational double sum whose real part is y2(0, n)."""
     total = GaussianRational.of(0, 0)
     for k in range(1, 2 * n + 3):
-        inner = ZERO
-        for j in range(k + 1):
-            inner += binomial(k, j) * Fraction((-1) ** (j + 1) * (k - 2 * j) ** (2 * n + 2))
-        term = GaussianRational.of(inner / (Fraction(2) ** k * k), 0) / I_POWERS[k % 4]
-        total = total + term
+        inner = sum(
+            math.comb(k, j) * (-1) ** (j + 1) * (k - 2 * j) ** (2 * n + 2) for j in range(k + 1)
+        )
+        # dividing by i^k is multiplying by i^{-k}
+        total = total + GaussianRational.of(Fraction(inner, 2**k * k)) * I_POWERS[-k % 4]
     return total
 
 
@@ -264,8 +263,10 @@ def check_series_identities(N: int, M: int = 24) -> IdentityReport:
     rng = f"order {M}"
     f = gen_f(N, M)
     fstar = gen_fstar(N, M)
-    inv_f = f.reciprocal()
-    inv_fstar = fstar.reciprocal()
+    # 1/F and 1/F* are the EGFs of the hg-euler(N) and comp-hg-euler(N-1)
+    # tables: F* is comp-hg-euler(N-1)'s denominator.
+    inv_f = TruncatedSeries.from_egf(hg_euler_recurrence(N, M).values)
+    inv_fstar = TruncatedSeries.from_egf(comp_hg_euler_recurrence(N - 1, M).values)
 
     checks: list[tuple[str, TruncatedSeries, TruncatedSeries, int]] = []
 
@@ -286,7 +287,7 @@ def check_series_identities(N: int, M: int = 24) -> IdentityReport:
         acc = TruncatedSeries.zero(M - k if M >= k else 0)
         for i in range(k + 1):
             # the divided-power derivative is f^{(i)}/i!
-            term = fk.hasse_teichmuller(i).scale(binomial(k, i))
+            term = fk.hasse_teichmuller(i).scale(math.comb(k, i))
             for _ in range(i):
                 term = term.times_t()
             acc = acc + term

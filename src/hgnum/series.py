@@ -13,10 +13,10 @@ Bernoulli and Cauchy numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact import InvalidParameter, ONE, ZERO, convolve, factorial
 
@@ -126,12 +126,17 @@ class TruncatedSeries:
         if n > self.order:
             return TruncatedSeries.zero(0)
         return TruncatedSeries(
-            tuple(self.coeffs[m] * comb(m, n) for m in range(n, self.order + 1))
+            tuple(self.coeffs[m] * math.comb(m, n) for m in range(n, self.order + 1))
         )
 
     def times_t(self) -> "TruncatedSeries":
         """Multiply by t, keeping the same truncation order."""
         return TruncatedSeries((ZERO,) + self.coeffs[:-1] if self.order > 0 else (ZERO,))
+
+    @staticmethod
+    def from_egf(values: Sequence[Fraction]) -> "TruncatedSeries":
+        """The series sum v_n t^n / n! whose EGF values are ``values``."""
+        return TruncatedSeries(tuple(v / math.factorial(n) for n, v in enumerate(values)))
 
     def egf_values(self) -> tuple[Fraction, ...]:
         """The numbers n! * c_n: the sequence this series is an EGF of."""

@@ -213,6 +213,39 @@ class TestRejectedInput:
         assert list(csv.DictReader(io.StringIO(out)))[6]["value"] == "-61/1"
 
 
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written ends in exit 2 with one line
+    naming the path and the reason, for every subcommand."""
+
+    COMMANDS = {
+        "compute": ["compute", "--family", "hg-euler", "--N", "1", "--max-n", "4"],
+        "table1": ["table1"],
+        "verify": ["verify", "--suite", "tangent", "--max-n", "3"],
+    }
+
+    def unwritable(self, tmp_path):
+        # a missing directory, and a directory in place of a file
+        return (
+            (tmp_path / "missing" / "out.txt", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        )
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        for path, reason in self.unwritable(tmp_path):
+            code, out, err = run(capsys, *self.COMMANDS[command], "--out", str(path))
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err == f"error: cannot write {path}: {reason}\n"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_writable_out(self, capsys, tmp_path, command):
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, *self.COMMANDS[command], "--out", str(path))
+        assert code == EXIT_OK and out == "" and err == ""
+        assert path.read_text()
+
+
 def test_large_N_with_cold_factorials(capsys):
     factorial.cache_clear()
     code, out, err = run(capsys, "compute", "--family", "hg-euler", "--N", "3000", "--max-n", "2")

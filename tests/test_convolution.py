@@ -16,7 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgnum import identities
-from hgnum.exact import InvalidParameter, ZERO, binomial, convolve, factorial
+from hgnum.exact import (
+    I_POWERS,
+    GaussianRational,
+    InvalidParameter,
+    ZERO,
+    binomial,
+    convolve,
+    factorial,
+)
 from hgnum.families import NumberTable
 from hgnum.identities import FailureWitness, IdentityReport
 from hgnum.series import TruncatedSeries
@@ -142,10 +150,24 @@ def reference_tangent(nmax):
     )
 
 
+def reference_tangent_complex_sum(n):
+    total = GaussianRational.of(0, 0)
+    for k in range(1, 2 * n + 3):
+        inner = ZERO
+        for j in range(k + 1):
+            inner += binomial(k, j) * F((-1) ** (j + 1) * (k - 2 * j) ** (2 * n + 2))
+        # divide by i^k: multiply by its conjugate over its norm, which is 1
+        unit = I_POWERS[k % 4]
+        total = total + GaussianRational.of(inner / (F(2) ** k * k), 0) * GaussianRational(
+            unit.re, -unit.im
+        )
+    return total
+
+
 def reference_tangent_complex(nmax):
     # the double sum is real for every n in these tests
     return reference_report(
-        "tangent-complex", nmax, lambda n: identities.tangent_complex_sum(n).re,
+        "tangent-complex", nmax, lambda n: reference_tangent_complex_sum(n).re,
         lambda n: reference_y2(0, n),
     )
 
@@ -160,6 +182,37 @@ def reference_tan_maclaurin(nmax):
     )
 
 
+def reference_from_one(identity_id, nmax, lhs_at, rhs_at):
+    # as reference_report, for identities stated for 1 <= n <= nmax
+    for n in range(1, nmax + 1):
+        lhs, rhs = lhs_at(n), rhs_at(n)
+        if lhs != rhs:
+            return IdentityReport(identity_id, f"1 <= n <= {nmax}", False,
+                                  FailureWitness((n,), lhs, rhs))
+    return IdentityReport(identity_id, f"1 <= n <= {nmax}", True)
+
+
+def reference_euler_pair_sum(nmax):
+    e = identities.hg_euler_recurrence(0, 2 * nmax)
+    return reference_from_one(
+        "euler-pair-sum", nmax,
+        lambda n: sum((binomial(2 * n, 2 * i) * e[2 * i] for i in range(n + 1)), ZERO),
+        lambda n: ZERO,
+    )
+
+
+def reference_bernoulli_lemma(nmax):
+    b = identities.hg_bernoulli(1, nmax + 1)
+    return reference_from_one(
+        "bernoulli-lemma", nmax,
+        lambda n: sum(
+            ((i - 1) * b[i] / (factorial(n - i + 2) * factorial(i)) for i in range(n + 1)),
+            ZERO,
+        ),
+        lambda n: ZERO if n % 2 == 0 else -b[n + 1] / factorial(n),
+    )
+
+
 SUMPROD = [
     (identities.check_sumprod_pair, reference_sumprod_pair),
     (identities.check_sumprod_pair_comp, reference_sumprod_pair_comp),
@@ -170,6 +223,15 @@ TANGENT = [
     (identities.check_tangent_closed_form, reference_tangent),
     (identities.check_tangent_complex_sum, reference_tangent_complex),
     (identities.check_tan_maclaurin, reference_tan_maclaurin),
+]
+
+# (checker, reference, the table it reads, that table's N, the indices the
+# identity does not read)
+TABLE_SUMS = [
+    (identities.check_euler_pair_sum, reference_euler_pair_sum, "hg_euler_recurrence", 0,
+     lambda i: i % 2 == 1),
+    (identities.check_bernoulli_lemma, reference_bernoulli_lemma, "hg_bernoulli", 1,
+     lambda i: i == 1),  # B_1 carries the weight 1 - 1 = 0
 ]
 
 
@@ -246,6 +308,19 @@ def test_tangent_checkers_match_reference(check, reference):
         assert got.passed
 
 
+@pytest.mark.parametrize("check, reference, name, N, blind", TABLE_SUMS)
+def test_table_sum_checkers_match_reference(check, reference, name, N, blind):
+    for nmax in (0, 1, 2, 7, 30, 45):
+        got = check(nmax)
+        assert got == reference(nmax)
+        assert got.passed
+
+
+def test_tangent_complex_sum_matches_reference():
+    for n in range(13):
+        assert identities.tangent_complex_sum(n) == reference_tangent_complex_sum(n)
+
+
 @pytest.mark.parametrize("N", range(0, 7))
 def test_y2_column_matches_reference(N):
     column = identities.y2_column(N, 10)
@@ -305,6 +380,20 @@ def test_tangent_witness_on_perturbed_table(monkeypatch, check, reference, index
     got = check(6)
     assert not got.passed
     assert got == reference(6)
+
+
+@pytest.mark.parametrize("check, reference, name, N, blind", TABLE_SUMS)
+@pytest.mark.parametrize(
+    "index, delta",
+    [(0, F(-2, 9)), (1, F(-1, 5)), (2, F(2, 7)), (3, F(1, 13)), (4, F(1, 7)), (12, F(5, 3))],
+)
+def test_table_sum_witness_on_perturbed_table(
+    monkeypatch, check, reference, name, N, blind, index, delta
+):
+    perturb(monkeypatch, name, N, index, delta)
+    got = check(14)
+    assert got == reference(14)
+    assert got.passed == blind(index)
 
 
 def test_tangent_complex_reports_imaginary_part(monkeypatch):

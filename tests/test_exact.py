@@ -179,9 +179,3 @@ def test_gaussian_multiplication_associative(a, b, c):
 
 def test_gaussian_i_squared():
     assert GAUSSIAN_I * GAUSSIAN_I == GaussianRational.of(-1, 0)
-
-
-def test_gaussian_division_roundtrip():
-    a = GaussianRational.of(F(3, 7), F(-2, 5))
-    b = GaussianRational.of(F(1, 3), F(4))
-    assert (a / b) * b == a

@@ -74,6 +74,10 @@ class TestReciprocal:
         values = gen_fhat(0, 4).reciprocal().egf_values()
         assert list(values) == [1, 0, F(-1, 3), 0, F(7, 15)]
 
+    def test_from_egf_inverts_egf_values(self):
+        s = TruncatedSeries.from_coeffs([F(1), F(-2, 3), F(0), F(5, 7), F(1, 9)])
+        assert TruncatedSeries.from_egf(s.egf_values()) == s
+
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
             series_from_ints([0, 1]).reciprocal()

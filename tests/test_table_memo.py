@@ -1,0 +1,134 @@
+"""The bounded table memo behind ``families.table``: a prefix of a longer
+table equals a fresh build, the memo never holds more than its bound, and
+what it holds never changes an answer or an output byte."""
+
+import contextlib
+import io
+import sys
+import threading
+
+import pytest
+
+from hgnum import families
+from hgnum.cli import main
+from hgnum.exact import InvalidParameter
+from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, table, via_series
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    families._memo.clear()
+    yield
+    families._memo.clear()
+
+
+def fresh(family, nmax):
+    """The table as the spec builds it, without the memo."""
+    recurrence = family.spec.recurrence
+    if recurrence is None:
+        return via_series(family, nmax).values
+    return recurrence(family.N, nmax)
+
+
+def every_family(Nmax=6):
+    for kind in FamilyKind:
+        for N in range(families.SPECS[kind].least_N, Nmax + 1):
+            yield FamilyId(kind, N)
+
+
+@pytest.mark.parametrize("family", list(every_family()), ids=str)
+def test_prefix_equals_fresh_build(family):
+    longest = table(family, 40)
+    assert longest.values == fresh(family, 40)
+    for nmax in (0, 1, 7, 40):
+        got = table(family, nmax)
+        assert got.family == family and got.nmax == nmax
+        assert got.values == fresh(family, nmax)
+
+
+def test_longer_request_replaces_the_entry():
+    family = FamilyId(FamilyKind.HG_EULER, 2)
+    table(family, 5)
+    assert len(families._memo[family]) == 6
+    assert table(family, 12).values == fresh(family, 12)
+    assert len(families._memo[family]) == 13
+    table(family, 3)
+    assert len(families._memo[family]) == 13
+
+
+def test_entry_count_stays_at_the_bound():
+    for N in range(1, 41):
+        table(FamilyId(FamilyKind.HG_CAUCHY, N), 3)
+        assert len(families._memo) <= MEMO_FAMILIES
+    assert len(families._memo) == MEMO_FAMILIES
+    # least recently used first out: the first eight are gone
+    assert FamilyId(FamilyKind.HG_CAUCHY, 8) not in families._memo
+    assert FamilyId(FamilyKind.HG_CAUCHY, 9) in families._memo
+
+
+def test_a_hit_keeps_the_entry_alive():
+    first = FamilyId(FamilyKind.HG_BERNOULLI, 1)
+    table(first, 4)
+    for N in range(2, MEMO_FAMILIES + 8):
+        table(first, 2)
+        table(FamilyId(FamilyKind.HG_BERNOULLI, N), 2)
+    assert first in families._memo and len(families._memo[first]) == 5
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_negative_nmax_raises_with_the_memo_warm(kind):
+    family = FamilyId(kind, 2)
+    table(family, 10)
+    with pytest.raises(InvalidParameter, match="nmax must be nonnegative"):
+        table(family, -1)
+    assert len(families._memo[family]) == 11
+
+
+def test_concurrent_requests_keep_the_longest_tables():
+    wanted = {family: fresh(family, 30) for family in every_family(4)}
+    longest = {family: 0 for family in wanted}
+    plans = []
+    for k in range(8):
+        plan = [(family, (7 * i + 5 * k) % 31) for i, family in enumerate(wanted)]
+        plans.append(plan)
+        for family, nmax in plan:
+            longest[family] = max(longest[family], nmax)
+    errors = []
+
+    def worker(plan):
+        for family, nmax in plan:
+            if table(family, nmax).values != wanted[family][: nmax + 1]:
+                errors.append((family, nmax))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(plan,)) for plan in plans]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # a lost update would leave a shorter table than the longest one built
+    assert {f: len(v) - 1 for f, v in families._memo.items()} == longest
+
+
+def _verify_all_bytes():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "all"])
+    return code, out.getvalue()
+
+
+def test_verify_all_is_the_same_on_four_threads(monkeypatch):
+    monkeypatch.setenv("HGNUM_THREADS", "1")
+    one = _verify_all_bytes()
+    families._memo.clear()
+    monkeypatch.setenv("HGNUM_THREADS", "4")
+    four_cold = _verify_all_bytes()
+    four_warm = _verify_all_bytes()
+    assert one[0] == 0
+    assert one == four_cold == four_warm
