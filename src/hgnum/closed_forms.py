@@ -9,11 +9,18 @@ formula in the family's weights a_0..a_m and stride s, both read off its
 :class:`~hgnum.families.FamilySpec`.  :func:`table_routes` is the registry of
 which route serves which family.
 
+The determinant, composition and Trudi kernels run on plain ints: each takes
+the weights as integer numerators over their common denominator
+(:func:`~hgnum.exact.numerators`) and builds a ``Fraction`` once per
+determinant, once per composition sum and once per Trudi expansion.
+
 The per-index functions (``hg_euler_det(N, n)`` and the rest) take the
-number's actual index n, check it, and read it off the table route.  The
-composition-sum route enumerates 2^{n/2 - 1} tuples for index n and is capped
-at n <= 30 by default, the Euler-type Trudi route p(n/2) partitions and is
-capped at n <= 60; pass a larger ``cap`` to go beyond.
+number's actual index n and check it.  The explicit and Trudi views expand
+index n alone; the determinant and binomial views read it off the table
+route, whose earlier indices cost little.  The composition-sum route
+enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30 by
+default, the Euler-type Trudi route p(n/2) partitions and is capped at
+n <= 60; pass a larger ``cap`` to go beyond.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factorial
+from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators
 from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table
 
@@ -105,26 +112,78 @@ def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
 def _composition_sum(weights: Sequence[Fraction], half: int) -> Fraction:
     """sum over compositions (p_1..p_r) of half of (-1)^r w_{p_1}...w_{p_r}.
 
-    For each length the compositions come in lexicographic order, the order
-    of a depth-first walk, so each shares a prefix with the one before.  The
-    signed products of the current prefixes are kept and only those past the
-    shared prefix are remade: one multiplication per step of the walk rather
-    than r per composition.
+    With w_p = x_p / A over the common denominator A of w_1..w_half, the sum
+    for each length r is an integer sum of products x_{p_1}...x_{p_r} over
+    A^r; the lengths are put over A^half and the value is one Fraction.  For
+    each length the compositions come in lexicographic order, the order of a
+    depth-first walk, so each shares a prefix with the one before.  The
+    products of the current prefixes are kept and only those past the shared
+    prefix are remade: one multiplication per step of the walk rather than r
+    per composition.
     """
-    neg = [-w for w in weights]
-    total = ZERO
+    nums, den = numerators(weights[1 : half + 1])
+    nums.insert(0, 0)  # nums[p] belongs to w_p
+    total = 0
     for r in range(1, half + 1):
-        prods = [ONE] * (r + 1)  # prods[i]: signed product of the first i parts
+        prods = [1] * (r + 1)  # prods[i]: product of the first i parts
         prev = (0,) * r
+        acc = 0
         for parts in compositions(half, 1, r):
             i = 0
             while parts[i] == prev[i]:
                 i += 1
             for j in range(i, r):
-                prods[j + 1] = prods[j] * neg[parts[j]]
-            total += prods[r]
+                prods[j + 1] = prods[j] * nums[parts[j]]
+            acc += prods[r]
             prev = parts
-    return total
+        total += (-acc if r % 2 else acc) * den ** (half - r)
+    return Fraction(total, den**half)
+
+
+def _explicit_value(weights: Sequence[Fraction], stride: int, m: int) -> Fraction:
+    """v_{sm} = (sm)! times the signed sum over the compositions of m of the
+    products of the weights."""
+    return factorial(stride * m) * _composition_sum(weights, m)
+
+
+def _trudi_value(weights: Sequence[Fraction], stride: int, m: int) -> Fraction:
+    """v_{sm} from the Trudi partition expansion of the determinant of
+    :func:`table_det`."""
+    # (-1)^m from the determinant prefactor folds into the Brioschi expansion
+    # as the sign (-1)^{t_1+...+t_m}.
+    return (-1) ** m * factorial(stride * m) * trudi_expand(weights[1 : m + 1], 1)
+
+
+# method -> (v_{sm} from the weights, the name its errors use, what it enumerates)
+_EXPANSIONS = {
+    "explicit": (_explicit_value, "explicit route", "composition"),
+    "trudi": (_trudi_value, "Trudi route", "partition"),
+}
+
+
+def _expansion(method: str, kind: FamilyKind, N: int, nmax: int, cap: int):
+    """The family and its v_{sm} formula, once the family has the expansion
+    and nmax is within the cap on its enumeration."""
+    value, what, terms = _EXPANSIONS[method]
+    family = _expanded(kind, N, what)
+    if nmax > cap:
+        raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
+    return family, value
+
+
+def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int, cap: int) -> list[Fraction]:
+    """v_0..v_nmax, each index by its own expansion."""
+    family, value = _expansion(method, kind, N, nmax, cap)
+    s = family.spec.stride
+    w = family.weights(nmax)
+    return _spread([ONE] + [value(w, s, m) for m in range(1, len(w))], s, nmax)
+
+
+def _expansion_at(method: str, kind: FamilyKind, N: int, n: int, cap: int) -> Fraction:
+    """v_n by its own expansion alone: no other index is computed."""
+    m = _index(kind, n)
+    family, value = _expansion(method, kind, N, n, cap)
+    return value(family.weights(n), family.spec.stride, m)
 
 
 def table_explicit(
@@ -132,13 +191,7 @@ def table_explicit(
 ) -> list[Fraction]:
     """v_{sm} = (sm)! times the signed sum over the compositions of m of the
     products of the weights, each index by its own enumeration."""
-    family = _expanded(kind, N, "explicit route")
-    if nmax > cap:
-        raise InvalidParameter(f"index bound {nmax} exceeds the composition-route cap {cap}")
-    s = family.spec.stride
-    w = family.weights(nmax)
-    column = [ONE] + [factorial(s * m) * _composition_sum(w, m) for m in range(1, len(w))]
-    return _spread(column, s, nmax)
+    return _expansion_table("explicit", kind, N, nmax, cap)
 
 
 def table_trudi(
@@ -146,17 +199,7 @@ def table_trudi(
 ) -> list[Fraction]:
     """Each index from its own Trudi partition expansion of the determinant
     of :func:`table_det`."""
-    family = _expanded(kind, N, "Trudi route")
-    if nmax > cap:
-        raise InvalidParameter(f"index bound {nmax} exceeds the partition-route cap {cap}")
-    s = family.spec.stride
-    w = family.weights(nmax)
-    # (-1)^m from the determinant prefactor folds into the Brioschi expansion
-    # as the sign (-1)^{t_1+...+t_m}.
-    column = [ONE] + [
-        (-1) ** m * factorial(s * m) * trudi_expand(w[1 : m + 1], 1) for m in range(1, len(w))
-    ]
-    return _spread(column, s, nmax)
+    return _expansion_table("trudi", kind, N, nmax, cap)
 
 
 def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
@@ -183,16 +226,22 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     }
 
 
-def _at(route: TableRoute, kind: FamilyKind, N: int, n: int, **cap: int) -> Fraction:
-    """v_n by a table route, once n is a positive multiple of the stride."""
+def _index(kind: FamilyKind, n: int) -> int:
+    """m = n / stride, once n is a positive multiple of the stride."""
     stride = SPECS[kind].stride
     if n < 1 or n % stride:
         raise InvalidParameter(f"index must be a positive multiple of {stride}, got {n}")
-    return route(kind, N, n, **cap)[n]
+    return n // stride
+
+
+def _at(route: TableRoute, kind: FamilyKind, N: int, n: int) -> Fraction:
+    """v_n read off a table route, once n is a positive multiple of the stride."""
+    _index(kind, n)
+    return route(kind, N, n)[n]
 
 
 def hg_euler_explicit(N: int, n: int, cap: int = DEFAULT_COMPOSITION_CAP) -> Fraction:
-    return _at(table_explicit, FamilyKind.HG_EULER, N, n, cap=cap)
+    return _expansion_at("explicit", FamilyKind.HG_EULER, N, n, cap)
 
 
 def hg_euler_binomial(N: int, n: int) -> Fraction:
@@ -204,11 +253,11 @@ def hg_euler_det(N: int, n: int) -> Fraction:
 
 
 def hg_euler_trudi(N: int, n: int, cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
-    return _at(table_trudi, FamilyKind.HG_EULER, N, n, cap=cap)
+    return _expansion_at("trudi", FamilyKind.HG_EULER, N, n, cap)
 
 
 def comp_hg_euler_explicit(N: int, n: int, cap: int = DEFAULT_COMPOSITION_CAP) -> Fraction:
-    return _at(table_explicit, FamilyKind.COMP_HG_EULER, N, n, cap=cap)
+    return _expansion_at("explicit", FamilyKind.COMP_HG_EULER, N, n, cap)
 
 
 def comp_hg_euler_binomial(N: int, n: int) -> Fraction:
@@ -220,7 +269,7 @@ def comp_hg_euler_det(N: int, n: int) -> Fraction:
 
 
 def comp_hg_euler_trudi(N: int, n: int, cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
-    return _at(table_trudi, FamilyKind.COMP_HG_EULER, N, n, cap=cap)
+    return _expansion_at("trudi", FamilyKind.COMP_HG_EULER, N, n, cap)
 
 
 def hg_bernoulli_det(N: int, n: int) -> Fraction:

@@ -41,7 +41,7 @@ def binomial(n: int, k: int) -> Fraction:
     return factorial(n) / (factorial(k) * factorial(n - k))
 
 
-def multinomial(ts: Sequence[int]) -> Fraction:
+def multinomial(ts: Sequence[int]) -> int:
     """(sum ts)! / prod(t!)."""
     if min(ts, default=0) < 0:
         raise InvalidParameter(f"multinomial with a negative part in {tuple(ts)}")
@@ -49,10 +49,10 @@ def multinomial(ts: Sequence[int]) -> Fraction:
     for t in ts:
         if t > 1:
             out //= math.factorial(t)
-    return Fraction(out)
+    return out
 
 
-def _numerators(column: Sequence[Fraction]) -> tuple[list[int], int]:
+def numerators(column: Sequence[Fraction]) -> tuple[list[int], int]:
     """The column as integer numerators over one common denominator, the lcm
     of its denominators."""
     den = math.lcm(*(x.denominator for x in column))
@@ -78,8 +78,8 @@ def convolve(
     """
     if nmax < 0:
         raise InvalidParameter(f"nmax must be nonnegative, got {nmax}")
-    a_num, a_den = _numerators(a[: nmax + 1])
-    b_num, b_den = _numerators(b[: nmax + 1])
+    a_num, a_den = numerators(a[: nmax + 1])
+    b_num, b_den = numerators(b[: nmax + 1])
     if len(a_num) <= nmax or len(b_num) <= nmax:
         raise InvalidParameter(f"convolution to index {nmax} needs {nmax + 1} entries per column")
     if weight is not None:
@@ -133,13 +133,24 @@ def compositions(total: int, min_part: int, length: int | None = None) -> Iterat
 
 
 def _compositions_fixed(total: int, min_part: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 1:
-        if total >= min_part:
-            yield (total,)
+    # Lexicographic successor: the rightmost part j above min_part gives one
+    # to part j-1 and the rest of itself to the last part, parts j..-2 drop
+    # to min_part.
+    if total < min_part * length:
         return
-    for first in range(min_part, total - min_part * (length - 1) + 1):
-        for rest in _compositions_fixed(total - first, min_part, length - 1):
-            yield (first,) + rest
+    last = length - 1
+    parts = [min_part] * last + [total - min_part * last]
+    while True:
+        yield tuple(parts)
+        j = last
+        while j and parts[j] == min_part:
+            j -= 1
+        if not j:
+            return
+        spare = parts[j] - 1
+        parts[j] = min_part
+        parts[j - 1] += 1
+        parts[last] = spare
 
 
 def partition_multiplicities(m: int) -> Iterator[tuple[int, ...]]:

@@ -57,6 +57,11 @@ def _check_nmax(nmax: int) -> None:
         raise InvalidParameter(f"nmax must be nonnegative, got {nmax}")
 
 
+# The weights hold factorials of N (of 2N for the Euler types), so the cost of
+# even two numbers grows without limit in N: past 10^6 it is over a minute.
+MAX_N = 10_000
+
+
 @dataclass(frozen=True)
 class FamilyId:
     kind: FamilyKind
@@ -66,6 +71,8 @@ class FamilyId:
         least = self.spec.least_N
         if self.N < least:
             raise InvalidParameter(f"{self.kind.value} needs N >= {least}, got {self.N}")
+        if self.N > MAX_N:
+            raise InvalidParameter(f"{self.kind.value} needs N <= {MAX_N}, got {self.N}")
 
     @property
     def spec(self) -> FamilySpec:

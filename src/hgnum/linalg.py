@@ -7,16 +7,20 @@ above.  Its determinant satisfies the alternating recurrence
 
     D_0 = 1,   D_m = sum_{k=1}^m (-1)^{k-1} a_k D_{m-k},
 
-which is O(m^2) rational operations.  The dense fraction-free oracle lives in
+which is O(m^2) rational operations.  Both kernels take the column as integer
+numerators over one common denominator (:func:`~hgnum.exact.numerators`) and
+add plain ints: each step of the recurrence, and each partition size of the
+expansion, builds one ``Fraction``.  The dense fraction-free oracle lives in
 the test suite, not here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import InvalidParameter, ONE, multinomial, partition_multiplicities
+from .exact import InvalidParameter, ONE, multinomial, numerators, partition_multiplicities
 
 
 def hessenberg_det(entries: Sequence[Fraction]) -> Fraction:
@@ -28,12 +32,31 @@ def hessenberg_det(entries: Sequence[Fraction]) -> Fraction:
 
 
 def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
-    """D_0..D_m for every leading principal size at once."""
-    # signed[k] = (-1)^k a_{k+1}
-    signed = [-a if k % 2 else a for k, a in enumerate(entries)]
+    """D_0..D_m for every leading principal size at once.
+
+    With a_k = x_k / A over the common denominator A, and L the lcm of the
+    denominators of D_0..D_{m-1}, step m sums the ints (-1)^k x_{k+1} times
+    L D_{m-1-k}, and D_m is that sum over A L.  The ints L D_j are kept and
+    are rescaled only when L grows.
+    """
+    nums, den = numerators(entries)
+    signed = [-x if k % 2 else x for k, x in enumerate(nums)]
     d = [ONE]
-    for m in range(1, len(entries) + 1):
-        d.append(sum((signed[k] * d[m - 1 - k] for k in range(m)), Fraction(0)))
+    scaled = [1]  # scaled[j] = D_j * lcm
+    lcm = 1
+    for m in range(1, len(signed) + 1):
+        acc = 0
+        for k in range(m):
+            x = signed[k]
+            if x:
+                acc += x * scaled[m - 1 - k]
+        dm = Fraction(acc, den * lcm)
+        d.append(dm)
+        grown = math.lcm(lcm, dm.denominator)
+        if grown != lcm:
+            scaled = [y * (grown // lcm) for y in scaled]
+            lcm = grown
+        scaled.append(dm.numerator * (lcm // dm.denominator))
     return d
 
 
@@ -43,20 +66,27 @@ def trudi_expand(entries: Sequence[Fraction], a0: Fraction | int = 1) -> Fractio
     sum over t_1 + 2 t_2 + ... + m t_m = m of
         multinomial(t) * (-a0)^{m - sum t} * a_1^{t_1} ... a_m^{t_m}.
 
-    With a0 = 1 this equals hessenberg_det(entries).
+    With a_k = x_k / A, the integer sums S_r of multinomial(t) x_1^{t_1} ...
+    x_m^{t_m} over the partitions with r = sum t parts give the value
+    sum_r (-a0)^{m-r} S_r / A^r, one Fraction in all.  With a0 = 1 this
+    equals hessenberg_det(entries).
     """
     m = len(entries)
     if m < 1:
         raise InvalidParameter("trudi_expand needs at least one entry")
-    a0 = Fraction(a0)
-    total = Fraction(0)
+    nums, den = numerators(entries)
+    by_parts = [0] * (m + 1)
     for ts in partition_multiplicities(m):
-        term = multinomial(ts) * (-a0) ** (m - sum(ts))
-        for k, t in enumerate(ts, start=1):
+        term = multinomial(ts)
+        for x, t in zip(nums, ts):
             if t:
-                term *= entries[k - 1] ** t
-        total += term
-    return total
+                term *= x**t
+        by_parts[sum(ts)] += term
+    a0 = Fraction(a0)
+    # (-a0)^{m-r} / A^r = (-p A)^{m-r} q^r / (q A)^m with a0 = p/q
+    base, q = -a0.numerator * den, a0.denominator
+    total = sum(s * base ** (m - r) * q**r for r, s in enumerate(by_parts) if s)
+    return Fraction(total, (q * den) ** m)
 
 
 def dense_hessenberg(entries: Sequence[Fraction]) -> list[list[Fraction]]:

@@ -14,6 +14,7 @@ from hgnum.cli import (
     main,
 )
 from hgnum.exact import GaussianRational, factorial
+from hgnum.families import MAX_N, FamilyKind
 
 
 def run(capsys, *argv):
@@ -83,6 +84,23 @@ class TestCompute:
             capsys, "compute", "--family", "hg-bernoulli", "--N", "0", "--max-n", "4",
         )
         assert code == EXIT_INVALID and "N >= 1" in err
+
+    @pytest.mark.parametrize("family", ["hg-euler", "comp-hg-euler", "hg-bernoulli", "hg-cauchy"])
+    @pytest.mark.parametrize(
+        "method", ["recurrence", "series", "explicit", "binomial", "det", "trudi", "all"]
+    )
+    def test_N_above_the_bound_exits_2(self, capsys, family, method):
+        code, out, err = run(
+            capsys, "compute", "--family", family, "--N", "99999999999", "--max-n", "2",
+            "--method", method,
+        )
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        defined = method in ("recurrence", "series", "all") or (
+            (FamilyKind(family), method) in closed_forms.table_routes()
+        )
+        if defined:
+            assert err == f"error: {family} needs N <= {MAX_N}, got 99999999999\n"
 
     def test_method_not_defined_for_family(self, capsys):
         code, _, err = run(

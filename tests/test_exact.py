@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -84,6 +85,9 @@ class TestMultinomial:
         assert multinomial((2, 1)) == 3
         assert multinomial((0, 0, 0)) == 1
 
+    def test_is_a_plain_int(self):
+        assert type(multinomial((3, 1, 1))) is int
+
     def test_against_factorial_ratio(self):
         ts = (3, 1, 1)
         expected = factorial(sum(ts)) / (factorial(3) * factorial(1) * factorial(1))
@@ -130,6 +134,18 @@ class TestCompositions:
             assert sum(parts) == 8 and all(p >= 1 for p in parts)
             assert parts not in seen
             seen.add(parts)
+
+    def test_fixed_length_is_the_sorted_product(self):
+        # every tuple of the right length and total, in lexicographic order
+        for min_part in (0, 1):
+            for total in range(8):
+                for length in range(1, 6):
+                    want = [
+                        parts
+                        for parts in itertools.product(range(min_part, total + 1), repeat=length)
+                        if sum(parts) == total
+                    ]
+                    assert list(compositions(total, min_part, length)) == want
 
     def test_weak_needs_length(self):
         with pytest.raises(InvalidParameter):

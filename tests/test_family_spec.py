@@ -10,6 +10,7 @@ from hgnum import cli
 from hgnum.closed_forms import table_routes
 from hgnum.exact import InvalidParameter
 from hgnum.families import (
+    MAX_N,
     SPECS,
     FamilyId,
     FamilyKind,
@@ -56,6 +57,13 @@ def test_spec_least_N_and_stride(kind):
     FamilyId(kind, LEAST_N[kind])
     with pytest.raises(InvalidParameter, match=f"needs N >= {LEAST_N[kind]}"):
         FamilyId(kind, LEAST_N[kind] - 1)
+
+
+@KINDS
+def test_N_above_the_bound_is_refused(kind):
+    FamilyId(kind, MAX_N)
+    with pytest.raises(InvalidParameter, match=f"needs N <= {MAX_N}, got {MAX_N + 1}$"):
+        FamilyId(kind, MAX_N + 1)
 
 
 @KINDS

@@ -1,0 +1,160 @@
+"""The integer-numerator kernels against the Fraction loops they replaced,
+which are kept here as references, and the per-index views against the
+table routes they no longer read from."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hgnum.closed_forms import (
+    EULER_KINDS,
+    _composition_sum,
+    comp_hg_euler_binomial,
+    comp_hg_euler_det,
+    comp_hg_euler_explicit,
+    comp_hg_euler_trudi,
+    hg_bernoulli_det,
+    hg_cauchy_det,
+    hg_euler_binomial,
+    hg_euler_det,
+    hg_euler_explicit,
+    hg_euler_trudi,
+    table_binomial,
+    table_det,
+    table_explicit,
+    table_trudi,
+)
+from hgnum.exact import InvalidParameter, compositions, partition_multiplicities
+from hgnum.families import SPECS, FamilyId, FamilyKind
+from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
+
+
+def fraction_det_prefixes(entries):
+    signed = [-a if k % 2 else a for k, a in enumerate(entries)]
+    d = [F(1)]
+    for m in range(1, len(entries) + 1):
+        d.append(sum((signed[k] * d[m - 1 - k] for k in range(m)), F(0)))
+    return d
+
+
+def fraction_trudi_expand(entries, a0=1):
+    m = len(entries)
+    a0 = F(a0)
+    total = F(0)
+    for ts in partition_multiplicities(m):
+        term = F(1)
+        for i in range(2, sum(ts) + 1):
+            term *= i
+        for t in ts:
+            for i in range(2, t + 1):
+                term /= i
+        term *= (-a0) ** (m - sum(ts))
+        for k, t in enumerate(ts, start=1):
+            term *= entries[k - 1] ** t
+        total += term
+    return total
+
+
+def fraction_composition_sum(weights, half):
+    total = F(0)
+    for parts in compositions(half, 1):
+        term = F((-1) ** len(parts))
+        for p in parts:
+            term *= weights[p]
+        total += term
+    return total
+
+
+# Zeros, negatives, integers and denominators that share no factor.
+rationals = st.one_of(
+    st.just(F(0)),
+    st.integers(-30, 30).map(F),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([2**7, 3**5, 5**4, 7**3, 11 * 13, 97])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=0, max_size=14))
+def test_det_prefixes_match_the_fraction_recurrence(entries):
+    got = hessenberg_det_prefixes(entries)
+    assert got == fraction_det_prefixes(entries)
+    assert all(type(d) is F for d in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=9), rationals)
+def test_trudi_expand_matches_the_fraction_loop(entries, a0):
+    got = trudi_expand(entries, a0)
+    assert got == fraction_trudi_expand(entries, a0)
+    assert type(got) is F
+
+
+@pytest.mark.parametrize("a0", [F(1), F(0), F(-1), F(3, 7), F(-5, 2), 4])
+def test_trudi_expand_single_entry(a0):
+    # one partition, t_1 = 1: the value is a_1 whatever a0 is
+    for a1 in (F(0), F(-2, 9), F(5)):
+        assert trudi_expand([a1], a0) == a1 == fraction_trudi_expand([a1], a0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, min_size=9, max_size=9), st.integers(1, 8))
+def test_composition_sum_matches_the_fraction_loop(tail, half):
+    weights = [F(1)] + tail
+    assert _composition_sum(weights, half) == fraction_composition_sum(weights, half)
+
+
+@pytest.mark.parametrize("kind", EULER_KINDS, ids=lambda k: k.value)
+def test_composition_sum_on_family_weights(kind):
+    for N in (0, 3):
+        weights = FamilyId(kind, N).weights(24)
+        for half in range(1, 13):
+            assert _composition_sum(weights, half) == fraction_composition_sum(weights, half)
+
+
+VIEWS = {
+    FamilyKind.HG_EULER: {
+        table_explicit: hg_euler_explicit,
+        table_binomial: hg_euler_binomial,
+        table_det: hg_euler_det,
+        table_trudi: hg_euler_trudi,
+    },
+    FamilyKind.COMP_HG_EULER: {
+        table_explicit: comp_hg_euler_explicit,
+        table_binomial: comp_hg_euler_binomial,
+        table_det: comp_hg_euler_det,
+        table_trudi: comp_hg_euler_trudi,
+    },
+    FamilyKind.HG_BERNOULLI: {table_det: hg_bernoulli_det},
+    FamilyKind.HG_CAUCHY: {table_det: hg_cauchy_det},
+}
+VIEW_NMAX = 20
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_each_view_equals_its_table_route(kind):
+    stride = SPECS[kind].stride
+    for N in range(SPECS[kind].least_N, 7):
+        for route, view in VIEWS[kind].items():
+            column = route(kind, N, VIEW_NMAX)
+            for n in range(stride, VIEW_NMAX + 1, stride):
+                assert view(N, n) == column[n], (route.__name__, N, n)
+
+
+@pytest.mark.parametrize(
+    "view, cap", [(hg_euler_explicit, 30), (comp_hg_euler_trudi, 60)], ids=["explicit", "trudi"]
+)
+def test_views_keep_their_checks(view, cap):
+    with pytest.raises(InvalidParameter, match="positive multiple of 2"):
+        view(1, 7)
+    with pytest.raises(InvalidParameter, match="positive multiple of 2"):
+        view(1, 0)
+    with pytest.raises(InvalidParameter, match=f"index bound {cap + 2} exceeds"):
+        view(1, cap + 2)
+    with pytest.raises(InvalidParameter, match="needs N >= 0"):
+        view(-1, 2)
+    assert view(1, 4) == view(1, 4, cap=4)
+    with pytest.raises(InvalidParameter, match="index bound 4 exceeds"):
+        view(1, 4, cap=2)

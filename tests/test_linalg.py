@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgnum.exact import InvalidParameter, factorial
 from hgnum.linalg import (
@@ -81,6 +83,23 @@ class TestHessenbergDet:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameter):
             hessenberg_det([])
+
+
+# zeros, negatives and denominators with no common structure
+entry_lists = st.lists(
+    st.one_of(st.just(F(0)), st.builds(F, st.integers(-40, 40), st.integers(1, 60))),
+    min_size=1,
+    max_size=9,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry_lists)
+def test_every_prefix_matches_bareiss_oracle(entries):
+    dets = hessenberg_det_prefixes(entries)
+    assert dets[0] == 1
+    for m in range(1, len(entries) + 1):
+        assert dets[m] == bareiss_det(dense_hessenberg(entries[:m]))
 
 
 class TestTrudiExpand:
