@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +39,12 @@ _METHODS = ("recurrence", "series") + tuple(
     dict.fromkeys(method for _, method in closed_forms.table_routes())
 )
 
+# The largest ``compute --max-n``.  The series routes cost about the cube of
+# the index bound: hg-cauchy by series takes about 50 s at 1000 on a 2-CPU VM.
+MAX_COMPUTE_N = 1000
+# ``verify`` refuses a ``--max-n`` above this many times the suite's default.
+SUITE_BOUND_FACTOR = 10
+
 
 def format_rational(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
@@ -60,9 +65,11 @@ def _methods_for(kind: FamilyKind) -> tuple[str, ...]:
     )
 
 
-def _check_max_n(nmax: int) -> None:
+def _check_max_n(nmax: int, bound: int = MAX_COMPUTE_N, label: str = "--max-n") -> None:
     if nmax < 0:
         raise InvalidParameter(f"--max-n must be nonnegative, got {nmax}")
+    if nmax > bound:
+        raise InvalidParameter(f"{label} must be at most {bound}, got {nmax}")
 
 
 def compute_values(kind: FamilyKind, N: int, nmax: int, method: str) -> list[Fraction]:
@@ -157,25 +164,27 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suite_registry() -> dict[str, Callable[[int | None], list[IdentityReport]]]:
-    def one(fn, default):
-        return lambda nmax: [fn(nmax if nmax is not None else default)]
+def _suite_registry() -> dict[str, tuple[Callable[[int], list[IdentityReport]], int]]:
+    """suite -> (its reports at an index bound, its default bound)."""
 
-    def per_n(fn, default, ns=range(1, 7)):
-        return lambda nmax: [fn(N, nmax if nmax is not None else default) for N in ns]
+    def one(fn):
+        return lambda nmax: [fn(nmax)]
+
+    def per_n(fn, ns=range(1, 7)):
+        return lambda nmax: [fn(N, nmax) for N in ns]
 
     return {
-        "euler-pair-sum": one(identities.check_euler_pair_sum, 20),
-        "e1-bernoulli": one(identities.check_E1_bernoulli, 60),
-        "bernoulli-lemma": one(identities.check_bernoulli_lemma, 30),
-        "tangent": one(identities.check_tangent_closed_form, 12),
-        "tangent-complex": one(identities.check_tangent_complex_sum, 8),
-        "tan-maclaurin": one(identities.check_tan_maclaurin, 12),
-        "sumprod-pair": per_n(identities.check_sumprod_pair, 30),
-        "sumprod-pair-comp": per_n(identities.check_sumprod_pair_comp, 30),
-        "sumprod-trinomial": per_n(identities.check_sumprod_trinomial, 30),
-        "sumprod-trinomial-comp": per_n(identities.check_sumprod_trinomial_comp, 30),
-        "series-identities": per_n(identities.check_series_identities, 24, range(1, 5)),
+        "euler-pair-sum": (one(identities.check_euler_pair_sum), 20),
+        "e1-bernoulli": (one(identities.check_E1_bernoulli), 60),
+        "bernoulli-lemma": (one(identities.check_bernoulli_lemma), 30),
+        "tangent": (one(identities.check_tangent_closed_form), 12),
+        "tangent-complex": (one(identities.check_tangent_complex_sum), 8),
+        "tan-maclaurin": (one(identities.check_tan_maclaurin), 12),
+        "sumprod-pair": (per_n(identities.check_sumprod_pair), 30),
+        "sumprod-pair-comp": (per_n(identities.check_sumprod_pair_comp), 30),
+        "sumprod-trinomial": (per_n(identities.check_sumprod_trinomial), 30),
+        "sumprod-trinomial-comp": (per_n(identities.check_sumprod_trinomial_comp), 30),
+        "series-identities": (per_n(identities.check_series_identities, range(1, 5)), 24),
     }
 
 
@@ -195,29 +204,25 @@ def _report_json(report: IdentityReport) -> dict:
     return out
 
 
-def _thread_cap() -> int:
-    """Worker threads for ``verify``: ``HGNUM_THREADS``, at least 1, default 1."""
-    raw = os.environ.get("HGNUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidParameter(f"HGNUM_THREADS must be an integer, got {raw!r}") from None
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n is not None:
-        _check_max_n(args.max_n)
     registry = _suite_registry()
     if args.suite == "all":
-        selected = list(registry)
+        selected = registry
     elif args.suite in registry:
-        selected = [args.suite]
+        selected = {args.suite: registry[args.suite]}
     else:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_INVALID
-    workers = _thread_cap()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(name, pool.submit(registry[name], args.max_n)) for name in selected]
+    if args.max_n is not None:
+        for name, (_, default) in selected.items():
+            _check_max_n(args.max_n, SUITE_BOUND_FACTOR * default, f"--max-n for suite {name}")
+    # One worker: Fraction arithmetic holds the GIL.  The pool goes once
+    # bench/selftest.py stops asserting cli.wait_s > 0.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futures = [
+            (name, pool.submit(run, default if args.max_n is None else args.max_n))
+            for name, (run, default) in selected.items()
+        ]
         reports = [(name, r) for name, fut in futures for r in fut.result()]
     payload = {
         "suites": [dict(_report_json(r), suite=name) for name, r in reports],

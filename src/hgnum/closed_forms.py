@@ -18,9 +18,8 @@ The per-index functions (``hg_euler_det(N, n)`` and the rest) take the
 number's actual index n and check it.  The explicit and Trudi views expand
 index n alone; the determinant and binomial views read it off the table
 route, whose earlier indices cost little.  The composition-sum route
-enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30 by
-default, the Euler-type Trudi route p(n/2) partitions and is capped at
-n <= 60; pass a larger ``cap`` to go beyond.
+enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30, the
+Euler-type Trudi route p(n/2) partitions and is capped at n <= 60.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factoria
 from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table
 
-DEFAULT_COMPOSITION_CAP = 30
-DEFAULT_PARTITION_CAP = 60
+COMPOSITION_CAP = 30
+PARTITION_CAP = 60
 
 EULER_KINDS = tuple(kind for kind in FamilyKind if SPECS[kind].stride == 2)
 
@@ -154,52 +153,49 @@ def _trudi_value(weights: Sequence[Fraction], stride: int, m: int) -> Fraction:
     return (-1) ** m * factorial(stride * m) * trudi_expand(weights[1 : m + 1], 1)
 
 
-# method -> (v_{sm} from the weights, the name its errors use, what it enumerates)
+# method -> (v_{sm} from the weights, the name its errors use, what it
+# enumerates, the largest index it expands)
 _EXPANSIONS = {
-    "explicit": (_explicit_value, "explicit route", "composition"),
-    "trudi": (_trudi_value, "Trudi route", "partition"),
+    "explicit": (_explicit_value, "explicit route", "composition", COMPOSITION_CAP),
+    "trudi": (_trudi_value, "Trudi route", "partition", PARTITION_CAP),
 }
 
 
-def _expansion(method: str, kind: FamilyKind, N: int, nmax: int, cap: int):
+def _expansion(method: str, kind: FamilyKind, N: int, nmax: int):
     """The family and its v_{sm} formula, once the family has the expansion
     and nmax is within the cap on its enumeration."""
-    value, what, terms = _EXPANSIONS[method]
+    value, what, terms, cap = _EXPANSIONS[method]
     family = _expanded(kind, N, what)
     if nmax > cap:
         raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
     return family, value
 
 
-def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int, cap: int) -> list[Fraction]:
+def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_0..v_nmax, each index by its own expansion."""
-    family, value = _expansion(method, kind, N, nmax, cap)
+    family, value = _expansion(method, kind, N, nmax)
     s = family.spec.stride
     w = family.weights(nmax)
     return _spread([ONE] + [value(w, s, m) for m in range(1, len(w))], s, nmax)
 
 
-def _expansion_at(method: str, kind: FamilyKind, N: int, n: int, cap: int) -> Fraction:
+def _expansion_at(method: str, kind: FamilyKind, N: int, n: int) -> Fraction:
     """v_n by its own expansion alone: no other index is computed."""
     m = _index(kind, n)
-    family, value = _expansion(method, kind, N, n, cap)
+    family, value = _expansion(method, kind, N, n)
     return value(family.weights(n), family.spec.stride, m)
 
 
-def table_explicit(
-    kind: FamilyKind, N: int, nmax: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> list[Fraction]:
+def table_explicit(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_{sm} = (sm)! times the signed sum over the compositions of m of the
     products of the weights, each index by its own enumeration."""
-    return _expansion_table("explicit", kind, N, nmax, cap)
+    return _expansion_table("explicit", kind, N, nmax)
 
 
-def table_trudi(
-    kind: FamilyKind, N: int, nmax: int, cap: int = DEFAULT_PARTITION_CAP
-) -> list[Fraction]:
+def table_trudi(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """Each index from its own Trudi partition expansion of the determinant
     of :func:`table_det`."""
-    return _expansion_table("trudi", kind, N, nmax, cap)
+    return _expansion_table("trudi", kind, N, nmax)
 
 
 def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
@@ -240,8 +236,8 @@ def _at(route: TableRoute, kind: FamilyKind, N: int, n: int) -> Fraction:
     return route(kind, N, n)[n]
 
 
-def hg_euler_explicit(N: int, n: int, cap: int = DEFAULT_COMPOSITION_CAP) -> Fraction:
-    return _expansion_at("explicit", FamilyKind.HG_EULER, N, n, cap)
+def hg_euler_explicit(N: int, n: int) -> Fraction:
+    return _expansion_at("explicit", FamilyKind.HG_EULER, N, n)
 
 
 def hg_euler_binomial(N: int, n: int) -> Fraction:
@@ -252,12 +248,12 @@ def hg_euler_det(N: int, n: int) -> Fraction:
     return _at(table_det, FamilyKind.HG_EULER, N, n)
 
 
-def hg_euler_trudi(N: int, n: int, cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
-    return _expansion_at("trudi", FamilyKind.HG_EULER, N, n, cap)
+def hg_euler_trudi(N: int, n: int) -> Fraction:
+    return _expansion_at("trudi", FamilyKind.HG_EULER, N, n)
 
 
-def comp_hg_euler_explicit(N: int, n: int, cap: int = DEFAULT_COMPOSITION_CAP) -> Fraction:
-    return _expansion_at("explicit", FamilyKind.COMP_HG_EULER, N, n, cap)
+def comp_hg_euler_explicit(N: int, n: int) -> Fraction:
+    return _expansion_at("explicit", FamilyKind.COMP_HG_EULER, N, n)
 
 
 def comp_hg_euler_binomial(N: int, n: int) -> Fraction:
@@ -268,8 +264,8 @@ def comp_hg_euler_det(N: int, n: int) -> Fraction:
     return _at(table_det, FamilyKind.COMP_HG_EULER, N, n)
 
 
-def comp_hg_euler_trudi(N: int, n: int, cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
-    return _expansion_at("trudi", FamilyKind.COMP_HG_EULER, N, n, cap)
+def comp_hg_euler_trudi(N: int, n: int) -> Fraction:
+    return _expansion_at("trudi", FamilyKind.COMP_HG_EULER, N, n)
 
 
 def hg_bernoulli_det(N: int, n: int) -> Fraction:

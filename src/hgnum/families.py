@@ -146,7 +146,7 @@ def via_series(family: FamilyId, nmax: int) -> NumberTable:
 # asked for, least recently used first.  The identity checkers read the same
 # few families over and over at different lengths; a request no longer than
 # the entry is answered with a prefix of it.  The lock is there because
-# ``verify`` may run its suites on several threads.
+# ``table`` is public and may be called from several threads at once.
 MEMO_FAMILIES = 32
 _memo: OrderedDict[FamilyId, tuple[Fraction, ...]] = OrderedDict()
 _memo_lock = threading.Lock()

@@ -48,46 +48,50 @@ def _report(identity_id: str, range_checked: str, failure: FailureWitness | None
     return IdentityReport(identity_id, range_checked, failure is None, failure)
 
 
+def _first_mismatch(
+    identity_id: str,
+    range_checked: str,
+    lhs: Sequence[Fraction],
+    rhs: Sequence[Fraction],
+    first: int = 0,
+) -> IdentityReport:
+    """The report of lhs[n] == rhs[n] for n from ``first`` on."""
+    for n in range(first, min(len(lhs), len(rhs))):
+        if lhs[n] != rhs[n]:
+            return _report(identity_id, range_checked, FailureWitness((n,), lhs[n], rhs[n]))
+    return _report(identity_id, range_checked, None)
+
+
 def check_euler_pair_sum(nmax: int = 20) -> IdentityReport:
     """sum_i C(2n, 2i) E_{2i} = 0 for 1 <= n <= nmax."""
     e = hg_euler_recurrence(0, 2 * nmax).values
     # the EGF product of the even part of E with e^t, read at the even indices
     even = [v if i % 2 == 0 else ZERO for i, v in enumerate(e)]
     sums = convolve(even, [1] * (2 * nmax + 1), 2 * nmax, egf=True)
-    for n in range(1, nmax + 1):
-        lhs = sums[2 * n]
-        if lhs != 0:
-            return _report("euler-pair-sum", f"1 <= n <= {nmax}", FailureWitness((n,), lhs, ZERO))
-    return _report("euler-pair-sum", f"1 <= n <= {nmax}", None)
+    return _first_mismatch(
+        "euler-pair-sum", f"1 <= n <= {nmax}", sums[::2], [ZERO] * (nmax + 1), first=1
+    )
 
 
 def check_E1_bernoulli(nmax: int = 60) -> IdentityReport:
     """E_{1,n} = -(n-1) B_n for 1 <= n <= nmax."""
-    e1 = hg_euler_recurrence(1, nmax)
+    e1 = hg_euler_recurrence(1, nmax).values
     b = hg_bernoulli(1, nmax)
-    for n in range(1, nmax + 1):
-        lhs = e1[n]
-        rhs = -(n - 1) * b[n]
-        if lhs != rhs:
-            return _report("e1-bernoulli", f"1 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report("e1-bernoulli", f"1 <= n <= {nmax}", None)
+    rhs = [-(n - 1) * b[n] for n in range(nmax + 1)]
+    return _first_mismatch("e1-bernoulli", f"1 <= n <= {nmax}", e1, rhs, first=1)
 
 
 def check_bernoulli_lemma(nmax: int = 30) -> IdentityReport:
     """sum_i (i-1) B_i / ((n-i+2)! i!) is 0 for even n and -B_{n+1}/n! for odd n."""
     b = hg_bernoulli(1, nmax + 1)
-    lhs_column = convolve(
+    lhs = convolve(
         [b[i] / math.factorial(i) for i in range(nmax + 1)],
         [Fraction(1, math.factorial(j + 2)) for j in range(nmax + 1)],
         nmax,
         weight=[i - 1 for i in range(nmax + 1)],
     )
-    for n in range(1, nmax + 1):
-        lhs = lhs_column[n]
-        rhs = ZERO if n % 2 == 0 else -b[n + 1] / factorial(n)
-        if lhs != rhs:
-            return _report("bernoulli-lemma", f"1 <= n <= {nmax}", FailureWitness((n,), lhs, rhs))
-    return _report("bernoulli-lemma", f"1 <= n <= {nmax}", None)
+    rhs = [ZERO if n % 2 == 0 else -b[n + 1] / factorial(n) for n in range(nmax + 1)]
+    return _first_mismatch("bernoulli-lemma", f"1 <= n <= {nmax}", lhs, rhs, first=1)
 
 
 def y2_column(N: int, nmax: int) -> list[Fraction]:
@@ -100,15 +104,6 @@ def y2_column(N: int, nmax: int) -> list[Fraction]:
 def y2(N: int, n: int) -> Fraction:
     """Pair sum of products: sum_i C(2n, 2i) E_{N,2i} E_{N,2n-2i}."""
     return y2_column(N, n)[n]
-
-
-def _first_mismatch(
-    identity_id: str, range_checked: str, lhs: Sequence[Fraction], rhs: Sequence[Fraction]
-) -> IdentityReport:
-    for n, (left, right) in enumerate(zip(lhs, rhs)):
-        if left != right:
-            return _report(identity_id, range_checked, FailureWitness((n,), left, right))
-    return _report(identity_id, range_checked, None)
 
 
 def check_tangent_closed_form(nmax: int = 12) -> IdentityReport:
@@ -168,30 +163,34 @@ def _index_weight(offset: int, nmax: int) -> list[int]:
     return [offset - k for k in range(nmax + 1)]
 
 
+def _ladder(w: int, nmax: int) -> tuple[Fraction, ...]:
+    """The numbers of 1/F_w, F_w = sum w!/(w+2j)! t^{2j}: E_N for w = 2N and
+    Ehat_N for w = 2N+1."""
+    recurrence = comp_hg_euler_recurrence if w % 2 else hg_euler_recurrence
+    return recurrence(w // 2, nmax).values
+
+
+def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
+    """sum C(n,i) x_i x_{n-i} = sum C(n,k) (w-k)/w x_k y_{n-k}, with x and y
+    the numbers of 1/F_w and 1/F_{w-1}."""
+    x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
+    lhs = convolve(x, x, nmax, egf=True)
+    rhs = convolve(x, y, nmax, egf=True, weight=_index_weight(w, nmax), divisor=w)
+    return _first_mismatch(identity_id, f"0 <= n <= {nmax}", lhs, rhs)
+
+
 def check_sumprod_pair(N: int, nmax: int = 30) -> IdentityReport:
     """sum C(n,i) E_{N,i} E_{N,n-i} = sum C(n,k) (2N-k)/(2N) E_{N,k} Ehat_{N-1,n-k}."""
     if N < 1:
         raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax).values
-    ehat = comp_hg_euler_recurrence(N - 1, nmax).values
-    lhs = convolve(e, e, nmax, egf=True)
-    rhs = convolve(
-        e, ehat, nmax, egf=True, weight=_index_weight(2 * N, nmax), divisor=2 * N
-    )
-    return _first_mismatch(f"sumprod-pair(N={N})", f"0 <= n <= {nmax}", lhs, rhs)
+    return _sumprod_pair(f"sumprod-pair(N={N})", 2 * N, nmax)
 
 
 def check_sumprod_pair_comp(N: int, nmax: int = 30) -> IdentityReport:
-    """Complementary analogue of the pair identity."""
+    """Complementary analogue of the pair identity: w = 2N+1."""
     if N < 1:
         raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax).values
-    ehat = comp_hg_euler_recurrence(N, nmax).values
-    lhs = convolve(ehat, ehat, nmax, egf=True)
-    rhs = convolve(
-        ehat, e, nmax, egf=True, weight=_index_weight(2 * N + 1, nmax), divisor=2 * N + 1
-    )
-    return _first_mismatch(f"sumprod-pair-comp(N={N})", f"0 <= n <= {nmax}", lhs, rhs)
+    return _sumprod_pair(f"sumprod-pair-comp(N={N})", 2 * N + 1, nmax)
 
 
 def _egf_cube(values: Sequence[Fraction], nmax: int) -> list[Fraction]:
@@ -204,44 +203,39 @@ def trinomial_convolution(values: Sequence[Fraction], n: int) -> Fraction:
     return _egf_cube(values, n)[n]
 
 
-def check_sumprod_trinomial(N: int, nmax: int = 30) -> IdentityReport:
-    """Trinomial sums of products for the main family:
+def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
+    """Trinomial sums of products, with x and y the numbers of 1/F_w and
+    1/F_{w-1}:
 
-    sum n!/(i1! i2! i3!) E_{i1} E_{i2} E_{i3}
-      = sum_m sum_k C(n,m) C(m,k) (4N-m)(2N-k)/(8N^2) E_k Ehat_{N-1,n-m} Ehat_{N-1,m-k},
+    sum n!/(i1! i2! i3!) x_{i1} x_{i2} x_{i3}
+      = sum_m sum_k C(n,m) C(m,k) (2w-m)(w-k)/(2w^2) x_k y_{n-m} y_{m-k},
 
-    the right side as the inner convolution over k, weighted by 2N-k, inside
-    the outer one over m, weighted by 4N-m.
+    the right side as the inner convolution over k, weighted by w-k, inside
+    the outer one over m, weighted by 2w-m.
     """
+    x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
+    inner = convolve(x, y, nmax, egf=True, weight=_index_weight(w, nmax))
+    rhs = convolve(
+        inner, y, nmax, egf=True, weight=_index_weight(2 * w, nmax), divisor=2 * w * w
+    )
+    return _first_mismatch(identity_id, f"0 <= n <= {nmax}", _egf_cube(x, nmax), rhs)
+
+
+def check_sumprod_trinomial(N: int, nmax: int = 30) -> IdentityReport:
+    """Trinomial sums of products for the main family: w = 2N, with the
+    weights (4N-m)(2N-k)/(8N^2) on E_k Ehat_{N-1,n-m} Ehat_{N-1,m-k}."""
     if N < 1:
         raise InvalidParameter(f"trinomial sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax).values
-    ehat = comp_hg_euler_recurrence(N - 1, nmax).values
-    inner = convolve(e, ehat, nmax, egf=True, weight=_index_weight(2 * N, nmax))
-    rhs = convolve(
-        inner, ehat, nmax, egf=True, weight=_index_weight(4 * N, nmax), divisor=8 * N * N
-    )
-    return _first_mismatch(
-        f"sumprod-trinomial(N={N})", f"0 <= n <= {nmax}", _egf_cube(e, nmax), rhs
-    )
+    return _sumprod_trinomial(f"sumprod-trinomial(N={N})", 2 * N, nmax)
 
 
 def check_sumprod_trinomial_comp(N: int, nmax: int = 30) -> IdentityReport:
-    """Trinomial sums of products for the complementary family: as
-    :func:`check_sumprod_trinomial` with the families swapped, N-1 replaced
-    by N and the weights (4N-m+2)(2N-k+1)/(2(2N+1)^2)."""
+    """Trinomial sums of products for the complementary family: w = 2N+1,
+    with the families swapped, N-1 replaced by N and the weights
+    (4N-m+2)(2N-k+1)/(2(2N+1)^2)."""
     if N < 1:
         raise InvalidParameter(f"trinomial sums-of-products need N >= 1, got {N}")
-    e = hg_euler_recurrence(N, nmax).values
-    ehat = comp_hg_euler_recurrence(N, nmax).values
-    inner = convolve(ehat, e, nmax, egf=True, weight=_index_weight(2 * N + 1, nmax))
-    rhs = convolve(
-        inner, e, nmax, egf=True, weight=_index_weight(4 * N + 2, nmax),
-        divisor=2 * (2 * N + 1) ** 2,
-    )
-    return _first_mismatch(
-        f"sumprod-trinomial-comp(N={N})", f"0 <= n <= {nmax}", _egf_cube(ehat, nmax), rhs
-    )
+    return _sumprod_trinomial(f"sumprod-trinomial-comp(N={N})", 2 * N + 1, nmax)
 
 
 def _first_diff(

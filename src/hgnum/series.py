@@ -64,11 +64,6 @@ class TruncatedSeries:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
         return TruncatedSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(m + 1)))
@@ -152,36 +147,6 @@ class TruncatedSeries:
         return all(c == 0 for c in self.coeffs)
 
 
-def _even_ratio_series(top: int, step_base: int, order: int) -> TruncatedSeries:
-    # coefficients top! / (step_base + 2n)! at t^{2n}
-    cs = [ZERO] * (order + 1)
-    top_f = factorial(top)
-    for n in range(order // 2 + 1):
-        cs[2 * n] = top_f / factorial(step_base + 2 * n)
-    return TruncatedSeries(tuple(cs))
-
-
-def gen_f(N: int, order: int) -> TruncatedSeries:
-    """Denominator of the hypergeometric Euler EGF: sum (2N)!/(2N+2n)! t^{2n}."""
-    if N < 0:
-        raise InvalidParameter(f"N must be nonnegative, got {N}")
-    return _even_ratio_series(2 * N, 2 * N, order)
-
-
-def gen_fstar(N: int, order: int) -> TruncatedSeries:
-    """Starred variant: sum (2N-1)!/(2N+2n-1)! t^{2n}; needs N >= 1."""
-    if N < 1:
-        raise InvalidParameter(f"N must be positive, got {N}")
-    return _even_ratio_series(2 * N - 1, 2 * N - 1, order)
-
-
-def gen_fhat(N: int, order: int) -> TruncatedSeries:
-    """Denominator of the complementary EGF: sum (2N+1)!/(2N+2n+1)! t^{2n}."""
-    if N < 0:
-        raise InvalidParameter(f"N must be nonnegative, got {N}")
-    return _even_ratio_series(2 * N + 1, 2 * N + 1, order)
-
-
 def gen_fk(k: int, order: int) -> TruncatedSeries:
     """The ladder family: sum k!/(k+2n)! t^{2n}.
 
@@ -189,7 +154,32 @@ def gen_fk(k: int, order: int) -> TruncatedSeries:
     """
     if k < 0:
         raise InvalidParameter(f"k must be nonnegative, got {k}")
-    return _even_ratio_series(k, k, order)
+    cs = [ZERO] * (order + 1)
+    k_f = factorial(k)
+    for n in range(order // 2 + 1):
+        cs[2 * n] = k_f / factorial(k + 2 * n)
+    return TruncatedSeries(tuple(cs))
+
+
+def gen_f(N: int, order: int) -> TruncatedSeries:
+    """Denominator of the hypergeometric Euler EGF: sum (2N)!/(2N+2n)! t^{2n}."""
+    if N < 0:
+        raise InvalidParameter(f"N must be nonnegative, got {N}")
+    return gen_fk(2 * N, order)
+
+
+def gen_fstar(N: int, order: int) -> TruncatedSeries:
+    """Starred variant: sum (2N-1)!/(2N+2n-1)! t^{2n}; needs N >= 1."""
+    if N < 1:
+        raise InvalidParameter(f"N must be positive, got {N}")
+    return gen_fk(2 * N - 1, order)
+
+
+def gen_fhat(N: int, order: int) -> TruncatedSeries:
+    """Denominator of the complementary EGF: sum (2N+1)!/(2N+2n+1)! t^{2n}."""
+    if N < 0:
+        raise InvalidParameter(f"N must be nonnegative, got {N}")
+    return gen_fk(2 * N + 1, order)
 
 
 def gen_cosh(order: int) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,9 @@ from hgnum.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    MAX_COMPUTE_N,
+    SUITE_BOUND_FACTOR,
+    _suite_registry,
     format_rational,
     main,
 )
@@ -151,11 +155,6 @@ class TestVerify:
             assert code == EXIT_OK, suite
             assert json.loads(out)["passed"]
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HGNUM_THREADS", "4")
-        code, out, _ = run(capsys, "verify", "--suite", "tangent")
-        assert code == EXIT_OK and json.loads(out)["passed"]
-
     def test_imaginary_part_fails_the_suite(self, capsys, monkeypatch):
         real = identities.tangent_complex_sum
 
@@ -196,8 +195,8 @@ class TestRejectedInput:
         assert "--max-n" in err
 
     def test_explicit_over_composition_cap(self, capsys):
-        cap = str(closed_forms.DEFAULT_COMPOSITION_CAP)
-        over = str(closed_forms.DEFAULT_COMPOSITION_CAP + 1)
+        cap = str(closed_forms.COMPOSITION_CAP)
+        over = str(closed_forms.COMPOSITION_CAP + 1)
         for family in ("hg-euler", "comp-hg-euler"):
             for method in ("explicit", "all"):
                 err = self.rejected(
@@ -207,8 +206,8 @@ class TestRejectedInput:
                 assert cap in err
 
     def test_trudi_over_partition_cap(self, capsys):
-        cap = str(closed_forms.DEFAULT_PARTITION_CAP)
-        over = str(closed_forms.DEFAULT_PARTITION_CAP + 1)
+        cap = str(closed_forms.PARTITION_CAP)
+        over = str(closed_forms.PARTITION_CAP + 1)
         for family in ("hg-euler", "comp-hg-euler"):
             err = self.rejected(
                 capsys, "compute", "--family", family, "--N", "1", "--max-n", over,
@@ -216,16 +215,39 @@ class TestRejectedInput:
             )
             assert cap in err
 
-    def test_thread_cap_not_an_integer(self, capsys, monkeypatch):
-        for value in ("abc", "2.5", ""):
-            monkeypatch.setenv("HGNUM_THREADS", value)
-            err = self.rejected(capsys, "verify", "--suite", "tangent")
-            assert "HGNUM_THREADS" in err
+    def test_max_n_above_the_compute_bound(self, capsys):
+        over = str(MAX_COMPUTE_N + 1)
+        for family, method in (
+            ("hg-euler", "recurrence"), ("hg-bernoulli", "series"), ("hg-cauchy", "det"),
+            ("comp-hg-euler", "all"),
+        ):
+            t0 = time.perf_counter()
+            err = self.rejected(
+                capsys, "compute", "--family", family, "--N", "1", "--max-n", over,
+                "--method", method,
+            )
+            assert time.perf_counter() - t0 < 1
+            assert err == f"error: --max-n must be at most {MAX_COMPUTE_N}, got {over}\n"
+
+    def test_max_n_above_a_suite_bound(self, capsys):
+        for suite, (_, default) in _suite_registry().items():
+            bound = SUITE_BOUND_FACTOR * default
+            over = bound + 1
+            err = self.rejected(capsys, "verify", "--suite", suite, "--max-n", str(over))
+            assert err == f"error: --max-n for suite {suite} must be at most {bound}, got {over}\n"
+
+    def test_suite_bound_is_checked_before_any_suite_runs(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(identities, "check_euler_pair_sum", lambda nmax: ran.append(nmax))
+        # tangent-complex (default 8) is the fifth suite of ``all``
+        err = self.rejected(capsys, "verify", "--suite", "all", "--max-n", "81")
+        assert "suite tangent-complex must be at most 80" in err
+        assert ran == []
 
     def test_explicit_at_composition_cap(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--family", "hg-euler", "--N", "0", "--max-n",
-            str(closed_forms.DEFAULT_COMPOSITION_CAP), "--method", "explicit",
+            str(closed_forms.COMPOSITION_CAP), "--method", "explicit",
         )
         assert code == EXIT_OK
         assert list(csv.DictReader(io.StringIO(out)))[6]["value"] == "-61/1"

@@ -5,6 +5,7 @@ import pytest
 from hgnum.exact import InvalidParameter
 from hgnum.families import hg_euler_recurrence
 from hgnum.identities import (
+    _ladder,
     check_E1_bernoulli,
     check_bernoulli_lemma,
     check_euler_pair_sum,
@@ -20,7 +21,7 @@ from hgnum.identities import (
     trinomial_convolution,
     y2,
 )
-from hgnum.series import gen_f
+from hgnum.series import gen_f, gen_fk
 
 
 TANGENT_VALUES = [1, -2, 16, -272, 7936, -353792, 22368256, -1903757312]
@@ -105,6 +106,11 @@ class TestSumsOfProducts:
     @pytest.mark.parametrize("N", range(1, 5))
     def test_trinomial_comp(self, N):
         assert_passed(check_sumprod_trinomial_comp(N, 20))
+
+    @pytest.mark.parametrize("w", range(14))
+    def test_ladder_is_the_reciprocal_of_gen_fk(self, w):
+        # w = 2N reads E_N, w = 2N+1 reads Ehat_N; both are 1/F_w
+        assert _ladder(w, 16) == gen_fk(w, 16).reciprocal().egf_values()
 
     def test_pair_spot_value(self):
         e = hg_euler_recurrence(1, 2)

@@ -123,12 +123,9 @@ def _verify_all_bytes():
     return code, out.getvalue()
 
 
-def test_verify_all_is_the_same_on_four_threads(monkeypatch):
-    monkeypatch.setenv("HGNUM_THREADS", "1")
-    one = _verify_all_bytes()
+def test_verify_all_is_the_same_cold_and_warm():
     families._memo.clear()
-    monkeypatch.setenv("HGNUM_THREADS", "4")
-    four_cold = _verify_all_bytes()
-    four_warm = _verify_all_bytes()
-    assert one[0] == 0
-    assert one == four_cold == four_warm
+    cold = _verify_all_bytes()
+    warm = _verify_all_bytes()
+    assert cold[0] == 0
+    assert cold == warm

@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgnum.closed_forms import (
-    DEFAULT_COMPOSITION_CAP,
-    DEFAULT_PARTITION_CAP,
+    COMPOSITION_CAP,
     EULER_KINDS,
+    PARTITION_CAP,
     comp_hg_euler_binomial,
     comp_hg_euler_det,
     comp_hg_euler_explicit,
@@ -124,17 +124,17 @@ def test_table_routes_reject_bad_arguments():
 
 def test_explicit_cap():
     kind = FamilyKind.HG_EULER
-    with pytest.raises(InvalidParameter, match=str(DEFAULT_COMPOSITION_CAP)):
-        table_explicit(kind, 0, DEFAULT_COMPOSITION_CAP + 1)
-    assert table_explicit(kind, 0, 4, cap=4) == [1, 0, -1, 0, 5]
-    assert table_explicit(kind, 0, 6, cap=6)[6] == F(-61)
+    with pytest.raises(InvalidParameter, match=f"cap {COMPOSITION_CAP}"):
+        table_explicit(kind, 0, COMPOSITION_CAP + 1)
+    assert table_explicit(kind, 0, 4) == [1, 0, -1, 0, 5]
+    assert table_explicit(kind, 0, 6)[6] == F(-61)
 
 
 def test_trudi_cap():
     kind = FamilyKind.COMP_HG_EULER
-    with pytest.raises(InvalidParameter, match=str(DEFAULT_PARTITION_CAP)):
-        table_trudi(kind, 0, DEFAULT_PARTITION_CAP + 1)
-    with pytest.raises(InvalidParameter, match="cap 6"):
-        comp_hg_euler_trudi(0, 8, cap=6)
-    assert table_trudi(kind, 0, 4, cap=4) == [1, 0, F(-1, 3), 0, F(7, 15)]
-    assert hg_euler_trudi(0, 8, cap=8) == F(1385)
+    with pytest.raises(InvalidParameter, match=f"cap {PARTITION_CAP}"):
+        table_trudi(kind, 0, PARTITION_CAP + 1)
+    with pytest.raises(InvalidParameter, match=f"cap {PARTITION_CAP}"):
+        comp_hg_euler_trudi(0, PARTITION_CAP + 2)
+    assert table_trudi(kind, 0, 4) == [1, 0, F(-1, 3), 0, F(7, 15)]
+    assert hg_euler_trudi(0, 8) == F(1385)
