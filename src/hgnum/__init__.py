@@ -2,17 +2,15 @@
 numbers, their complementary family, and hypergeometric Bernoulli and Cauchy
 numbers."""
 
-from .exact import GaussianRational, InvalidParameter, Rational
+from .exact import InvalidParameter
 from .families import FamilyId, FamilyKind, NumberTable, table, via_series
 from .series import TruncatedSeries, ZeroConstantTerm
 
 __all__ = [
     "FamilyId",
     "FamilyKind",
-    "GaussianRational",
     "InvalidParameter",
     "NumberTable",
-    "Rational",
     "TruncatedSeries",
     "ZeroConstantTerm",
     "table",

@@ -114,6 +114,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     kind = FamilyKind(args.family)
     methods = _methods_for(kind) if args.method == "all" else (args.method,)
     try:
+        if args.method == "all":
+            # every cap before any method runs, after the first method's checks
+            _check_max_n(args.max_n)
+            FamilyId(kind, args.N)
+            for m in methods:
+                closed_forms.check_cap(kind, m, args.max_n)
         per_method = {m: compute_values(kind, args.N, args.max_n, m) for m in methods}
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -270,6 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Python (3.10.7 on) limits int-to-text conversion to guard parsing; the
+    # CLI prints only integers it computed itself
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except InvalidParameter as exc:

@@ -19,7 +19,9 @@ number's actual index n and check it.  The explicit and Trudi views expand
 index n alone; the determinant and binomial views read it off the table
 route, whose earlier indices cost little.  The composition-sum route
 enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30, the
-Euler-type Trudi route p(n/2) partitions and is capped at n <= 60.
+Euler-type Trudi route p(n/2) partitions and is capped at n <= 60, and the
+binomial route, a chain of n powers of a polynomial of degree n/2, is capped
+at n <= 200.
 """
 
 from __future__ import annotations
@@ -33,19 +35,36 @@ from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table
 
 COMPOSITION_CAP = 30
+BINOMIAL_CAP = 200
 PARTITION_CAP = 60
 
-EULER_KINDS = tuple(kind for kind in FamilyKind if SPECS[kind].stride == 2)
+# method -> (the name its errors use, what it enumerates, the largest index
+# it serves)
+_CAPPED = {
+    "explicit": ("explicit route", "composition", COMPOSITION_CAP),
+    "binomial": ("binomial route", "binomial", BINOMIAL_CAP),
+    "trudi": ("Trudi route", "partition", PARTITION_CAP),
+}
 
 # (kind, N, nmax) -> v_0..v_nmax
 TableRoute = Callable[[FamilyKind, int, int], list[Fraction]]
 
 
-def _expanded(kind: FamilyKind, N: int, what: str) -> FamilyId:
-    """The family, once it has the expansions ``what`` belongs to."""
+def check_cap(kind: FamilyKind, method: str, nmax: int) -> None:
+    """Refuse nmax past the cap, if any, of the route serving (kind, method)."""
+    if SPECS[kind].expansions and method in _CAPPED:
+        _, terms, cap = _CAPPED[method]
+        if nmax > cap:
+            raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
+
+
+def _expanded(kind: FamilyKind, N: int, method: str, nmax: int) -> FamilyId:
+    """The family, once it has the expansion ``method`` and nmax is within
+    that route's cap."""
     family = FamilyId(kind, N)
     if not family.spec.expansions:
-        raise InvalidParameter(f"no {what} for {kind.value}")
+        raise InvalidParameter(f"no {_CAPPED[method][0]} for {kind.value}")
+    check_cap(kind, method, nmax)
     return family
 
 
@@ -78,20 +97,10 @@ def _power_chain(weights: Sequence[Fraction], half: int, kmax: int) -> list[list
     return powers
 
 
-def _weak_composition_sum(weights: Sequence[Fraction], half: int, k: int) -> Fraction:
-    """sum over i_1..i_k >= 0 with i_1+...+i_k = half of prod weights[i_j].
-
-    Computed as the coefficient of x^half in (sum_j weights[j] x^j)^k; the
-    tuple-by-tuple enumeration gives the same value (unit-tested) but is
-    infeasible for large k.
-    """
-    return _power_chain(weights, half, k)[k][half]
-
-
 def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_n = n! sum_{k=1}^n (-1)^k C(n+1, k+1) [x^{n/s}] P^k with
     P = sum_j a_j x^j, every index read from one chain P^1..P^nmax."""
-    family = _expanded(kind, N, "binomial route")
+    family = _expanded(kind, N, "binomial", nmax)
     s = family.spec.stride
     w = family.weights(nmax)
     powers = _power_chain(w, len(w) - 1, nmax)
@@ -150,40 +159,27 @@ def _trudi_value(weights: Sequence[Fraction], stride: int, m: int) -> Fraction:
     :func:`table_det`."""
     # (-1)^m from the determinant prefactor folds into the Brioschi expansion
     # as the sign (-1)^{t_1+...+t_m}.
-    return (-1) ** m * factorial(stride * m) * trudi_expand(weights[1 : m + 1], 1)
+    return (-1) ** m * factorial(stride * m) * trudi_expand(weights[1 : m + 1])
 
 
-# method -> (v_{sm} from the weights, the name its errors use, what it
-# enumerates, the largest index it expands)
-_EXPANSIONS = {
-    "explicit": (_explicit_value, "explicit route", "composition", COMPOSITION_CAP),
-    "trudi": (_trudi_value, "Trudi route", "partition", PARTITION_CAP),
-}
-
-
-def _expansion(method: str, kind: FamilyKind, N: int, nmax: int):
-    """The family and its v_{sm} formula, once the family has the expansion
-    and nmax is within the cap on its enumeration."""
-    value, what, terms, cap = _EXPANSIONS[method]
-    family = _expanded(kind, N, what)
-    if nmax > cap:
-        raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
-    return family, value
+# method -> v_{sm} from the weights
+_EXPANSIONS = {"explicit": _explicit_value, "trudi": _trudi_value}
 
 
 def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_0..v_nmax, each index by its own expansion."""
-    family, value = _expansion(method, kind, N, nmax)
+    family = _expanded(kind, N, method, nmax)
     s = family.spec.stride
     w = family.weights(nmax)
+    value = _EXPANSIONS[method]
     return _spread([ONE] + [value(w, s, m) for m in range(1, len(w))], s, nmax)
 
 
 def _expansion_at(method: str, kind: FamilyKind, N: int, n: int) -> Fraction:
     """v_n by its own expansion alone: no other index is computed."""
     m = _index(kind, n)
-    family, value = _expansion(method, kind, N, n)
-    return value(family.weights(n), family.spec.stride, m)
+    family = _expanded(kind, N, method, n)
+    return _EXPANSIONS[method](family.weights(n), family.spec.stride, m)
 
 
 def table_explicit(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
@@ -289,8 +285,8 @@ def cauchy_det(n: int) -> Fraction:
 def inverse_pair_check(kind: FamilyKind, N: int, n: int) -> bool:
     """The matrix-inverse pairing: applying the inversion lemma to the column
     of signed numbers (-1)^k v_{sk}/(sk)! must reproduce the family's weights
-    a_1..a_n entrywise."""
-    family = _expanded(kind, N, "inverse pairing")
+    a_1..a_n entrywise, at stride 2 and at stride 1 alike."""
+    family = FamilyId(kind, N)
     if n < 1:
         raise InvalidParameter(f"n must be positive, got {n}")
     s = family.spec.stride

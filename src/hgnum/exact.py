@@ -2,19 +2,15 @@
 
 The universal scalar is :class:`fractions.Fraction`, which is already an
 arbitrary-precision rational in canonical reduced form (positive denominator,
-gcd(|p|, q) = 1, zero as 0/1).  It is re-exported here as ``Rational`` so the
-rest of the package has a single name for it.
+gcd(|p|, q) = 1, zero as 0/1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -100,44 +96,18 @@ def convolve(
     return out
 
 
-def rising_factorial(x: Fraction, n: int) -> Fraction:
-    """x(x+1)...(x+n-1), with the empty product equal to 1."""
-    if n < 0:
-        raise InvalidParameter(f"rising factorial with negative n={n}")
-    out = ONE
-    for i in range(n):
-        out *= x + i
-    return out
-
-
-def compositions(total: int, min_part: int, length: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of integers >= min_part summing to ``total``.
-
-    With ``length`` given, yields tuples of exactly that length in
-    lexicographic order.  With ``length`` omitted (min_part=1 only, else the
-    set is infinite), yields all lengths 1..total, shortest first.
-    """
+def compositions(total: int, min_part: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``length`` integers >= min_part summing to ``total``, in
+    lexicographic order."""
     if min_part not in (0, 1):
         raise InvalidParameter(f"min_part must be 0 or 1, got {min_part}")
-    if total < 0:
-        return
-    if length is None:
-        if min_part == 0:
-            raise InvalidParameter("length is required when min_part=0")
-        for r in range(1, total + 1):
-            yield from compositions(total, 1, r)
-        return
     if length <= 0:
         raise InvalidParameter(f"length must be positive, got {length}")
-    yield from _compositions_fixed(total, min_part, length)
-
-
-def _compositions_fixed(total: int, min_part: int, length: int) -> Iterator[tuple[int, ...]]:
+    if total < min_part * length:
+        return
     # Lexicographic successor: the rightmost part j above min_part gives one
     # to part j-1 and the rest of itself to the last part, parts j..-2 drop
     # to min_part.
-    if total < min_part * length:
-        return
     last = length - 1
     parts = [min_part] * last + [total - min_part * last]
     while True:
@@ -156,65 +126,39 @@ def _compositions_fixed(total: int, min_part: int, length: int) -> Iterator[tupl
 def partition_multiplicities(m: int) -> Iterator[tuple[int, ...]]:
     """Multiplicity vectors (t_1..t_m) with t_1 + 2 t_2 + ... + m t_m = m.
 
-    Yields exactly p(m) vectors, t_1 descending first.
+    Yields exactly p(m) vectors, in descending lexicographic order: t_1
+    descending first.
     """
     if m < 1:
         raise InvalidParameter(f"m must be positive, got {m}")
-
-    ts = [0] * m
-
-    # ts[k-1:] is all zero whenever rec(k, rem) is entered, so the vector is
-    # complete as soon as rem reaches 0.
-    def rec(k: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(ts)
+    # Successor: the rightmost t_k that can drop does, by one, or by two when
+    # no part above k is left to absorb k.  That k is the largest part, or
+    # the next largest when the largest occurs once (and then goes).  The
+    # freed amount is refilled lexicographically largest: as many parts k+1
+    # as leave either nothing or enough for one larger part, then that part.
+    ts = [m] + [0] * (m - 1)
+    used = [1]  # the parts with t_i > 0, ascending
+    while True:
+        yield tuple(ts)
+        top = used[-1]
+        if ts[top - 1] > 1:
+            k, above = top, 0
+        elif len(used) > 1:
+            used.pop()
+            ts[top - 1] = 0
+            k, above = used[-1], top
+        else:
             return
-        if k > rem:
-            return
-        for t in range(rem // k, -1, -1):
-            ts[k - 1] = t
-            yield from rec(k + 1, rem - k * t)
-
-    yield from rec(1, m)
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """re + im*sqrt(-1) with exact rational components."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re: Fraction | int, im: Fraction | int = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-
-GAUSSIAN_I = GaussianRational.of(0, 1)
-
-# i^k for k mod 4; the double sums in the tangent-number identity only ever
-# need these powers.
-I_POWERS = (
-    GaussianRational.of(1, 0),
-    GaussianRational.of(0, 1),
-    GaussianRational.of(-1, 0),
-    GaussianRational.of(0, -1),
-)
+        drop = 1 if above else 2
+        ts[k - 1] -= drop
+        if not ts[k - 1]:
+            used.pop()
+        q, r = divmod(above + drop * k, k + 1)
+        if r:
+            q, r = q - 1, r + k + 1
+        if q:
+            ts[k] = q
+            used.append(k + 1)
+        if r:
+            ts[r - 1] = 1
+            used.append(r)

@@ -43,7 +43,7 @@ class FamilySpec:
     """``denominator(N, order)`` is F up to t^order.  ``recurrence(N, nmax)``,
     if given, is the family's table route, a recurrence on the numbers.
     ``expansions``: the family has the composition, binomial and Trudi
-    expansions and the inverse pairing (the paper's Euler-type results)."""
+    expansions (the paper's Euler-type results)."""
 
     least_N: int
     stride: int
@@ -83,7 +83,7 @@ class FamilyId:
         that v_0..v_nmax depend on."""
         _check_nmax(nmax)
         stride = self.spec.stride
-        return list(denominator_series(self, nmax - nmax % stride).coeffs[::stride])
+        return list(self.spec.denominator(self.N, nmax - nmax % stride).coeffs[::stride])
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,11 @@ SPECS: dict[FamilyKind, FamilySpec] = {
 }
 
 
-def denominator_series(family: FamilyId, order: int) -> TruncatedSeries:
-    """The series whose reciprocal's EGF defines the family."""
-    return family.spec.denominator(family.N, order)
-
-
 def via_series(family: FamilyId, nmax: int) -> NumberTable:
     """Definition route: EGF extraction of the reciprocal denominator series."""
     _check_nmax(nmax)
-    return NumberTable(family, denominator_series(family, nmax).reciprocal().egf_values())
+    denominator = family.spec.denominator(family.N, nmax)
+    return NumberTable(family, denominator.reciprocal().egf_values())
 
 
 # The longest table built so far for each of the last MEMO_FAMILIES families

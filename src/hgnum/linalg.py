@@ -1,7 +1,7 @@
 """Toeplitz lower-Hessenberg determinants, their partition expansion, and the
 inversion pairing of unit lower-triangular Toeplitz matrices.
 
-The matrix of :func:`hessenberg_det` is determined by its first column
+The m x m Toeplitz lower-Hessenberg matrix is determined by its first column
 a_1..a_m: entry (i, j) is a_{i-j+1} for i >= j, 1 on the superdiagonal, 0
 above.  Its determinant satisfies the alternating recurrence
 
@@ -9,9 +9,9 @@ above.  Its determinant satisfies the alternating recurrence
 
 which is O(m^2) rational operations.  Both kernels take the column as integer
 numerators over one common denominator (:func:`~hgnum.exact.numerators`) and
-add plain ints: each step of the recurrence, and each partition size of the
-expansion, builds one ``Fraction``.  The dense fraction-free oracle lives in
-the test suite, not here.
+add plain ints: each step of the recurrence builds one ``Fraction``, and the
+expansion one in all.  The dense fraction-free oracle lives in the test
+suite, not here.
 """
 
 from __future__ import annotations
@@ -23,16 +23,9 @@ from typing import Sequence
 from .exact import InvalidParameter, ONE, multinomial, numerators, partition_multiplicities
 
 
-def hessenberg_det(entries: Sequence[Fraction]) -> Fraction:
-    """Determinant of the m x m Toeplitz lower-Hessenberg matrix with first
-    column ``entries``."""
-    if not entries:
-        raise InvalidParameter("hessenberg_det needs at least one entry")
-    return hessenberg_det_prefixes(entries)[-1]
-
-
 def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
-    """D_0..D_m for every leading principal size at once.
+    """Determinants D_0..D_m of every leading principal block of the
+    Toeplitz lower-Hessenberg matrix with first column ``entries``.
 
     With a_k = x_k / A over the common denominator A, and L the lcm of the
     denominators of D_0..D_{m-1}, step m sums the ints (-1)^k x_{k+1} times
@@ -60,16 +53,16 @@ def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
     return d
 
 
-def trudi_expand(entries: Sequence[Fraction], a0: Fraction | int = 1) -> Fraction:
-    """Partition expansion of the same determinant shape:
+def trudi_expand(entries: Sequence[Fraction]) -> Fraction:
+    """Partition expansion of the same determinant:
 
     sum over t_1 + 2 t_2 + ... + m t_m = m of
-        multinomial(t) * (-a0)^{m - sum t} * a_1^{t_1} ... a_m^{t_m}.
+        multinomial(t) * (-1)^{m - sum t} * a_1^{t_1} ... a_m^{t_m}.
 
     With a_k = x_k / A, the integer sums S_r of multinomial(t) x_1^{t_1} ...
     x_m^{t_m} over the partitions with r = sum t parts give the value
-    sum_r (-a0)^{m-r} S_r / A^r, one Fraction in all.  With a0 = 1 this
-    equals hessenberg_det(entries).
+    sum_r (-1)^{m-r} S_r / A^r, one Fraction in all.  It equals
+    hessenberg_det_prefixes(entries)[-1].
     """
     m = len(entries)
     if m < 1:
@@ -82,23 +75,9 @@ def trudi_expand(entries: Sequence[Fraction], a0: Fraction | int = 1) -> Fractio
             if t:
                 term *= x**t
         by_parts[sum(ts)] += term
-    a0 = Fraction(a0)
-    # (-a0)^{m-r} / A^r = (-p A)^{m-r} q^r / (q A)^m with a0 = p/q
-    base, q = -a0.numerator * den, a0.denominator
-    total = sum(s * base ** (m - r) * q**r for r, s in enumerate(by_parts) if s)
-    return Fraction(total, (q * den) ** m)
-
-
-def dense_hessenberg(entries: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The densified matrix, mainly for oracles and inverse checks."""
-    m = len(entries)
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1):
-            mat[i][j] = entries[i - j]
-        if i + 1 < m:
-            mat[i][i + 1] = ONE
-    return mat
+    # (-1)^{m-r} / A^r = (-A)^{m-r} / A^m
+    total = sum(s * (-den) ** (m - r) for r, s in enumerate(by_parts) if s)
+    return Fraction(total, den**m)
 
 
 def toeplitz_inverse(column: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -38,13 +38,8 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[Fraction | int], order: int | None = None) -> "TruncatedSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise InvalidParameter(f"order must be nonnegative, got {order}")
-            cs = cs[: order + 1] + [ZERO] * (order + 1 - len(cs))
-        return TruncatedSeries(tuple(cs))
+    def from_coeffs(coeffs: Iterable[Fraction | int]) -> "TruncatedSeries":
+        return TruncatedSeries(tuple(Fraction(c) for c in coeffs))
 
     @staticmethod
     def zero(order: int) -> "TruncatedSeries":
@@ -53,13 +48,6 @@ class TruncatedSeries:
     @staticmethod
     def one(order: int) -> "TruncatedSeries":
         return TruncatedSeries((ONE,) + (ZERO,) * order)
-
-    @staticmethod
-    def monomial(k: int, order: int, coeff: Fraction | int = 1) -> "TruncatedSeries":
-        cs = [ZERO] * (order + 1)
-        if k <= order:
-            cs[k] = Fraction(coeff)
-        return TruncatedSeries(tuple(cs))
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
@@ -143,9 +131,6 @@ class TruncatedSeries:
             m = min(m, upto)
         return self.coeffs[: m + 1] == other.coeffs[: m + 1]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 def gen_fk(k: int, order: int) -> TruncatedSeries:
     """The ladder family: sum k!/(k+2n)! t^{2n}.
@@ -184,10 +169,6 @@ def gen_fhat(N: int, order: int) -> TruncatedSeries:
 
 def gen_cosh(order: int) -> TruncatedSeries:
     return gen_fk(0, order)
-
-
-def gen_sinh_over_t(order: int) -> TruncatedSeries:
-    return gen_fk(1, order)
 
 
 def gen_sin(order: int) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import time
 from fractions import Fraction as F
 
@@ -17,7 +18,7 @@ from hgnum.cli import (
     format_rational,
     main,
 )
-from hgnum.exact import GaussianRational, factorial
+from hgnum.exact import factorial
 from hgnum.families import MAX_N, FamilyKind
 
 
@@ -160,7 +161,7 @@ class TestVerify:
 
         def leaky(n):
             val = real(n)
-            return GaussianRational.of(val.re, F(1, 5)) if n == 3 else val
+            return (val[0], F(1, 5)) if n == 3 else val
 
         monkeypatch.setattr(identities, "tangent_complex_sum", leaky)
         code, out, err = run(capsys, "verify", "--suite", "tangent-complex", "--max-n", "5")
@@ -214,6 +215,42 @@ class TestRejectedInput:
                 "--method", "trudi",
             )
             assert cap in err
+
+    def test_binomial_over_binomial_cap(self, capsys):
+        cap = closed_forms.BINOMIAL_CAP
+        for family, N in (("hg-euler", 1), ("comp-hg-euler", 6), ("hg-euler", 10000)):
+            t0 = time.perf_counter()
+            err = self.rejected(
+                capsys, "compute", "--family", family, "--N", str(N), "--max-n", str(cap + 1),
+                "--method", "binomial",
+            )
+            assert time.perf_counter() - t0 < 1
+            assert err == f"error: index bound {cap + 1} exceeds the binomial-route cap {cap}\n"
+
+    def test_all_checks_every_cap_before_any_method_runs(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            "hgnum.cli.compute_values", lambda kind, N, nmax, method: ran.append(method)
+        )
+        for family in ("hg-euler", "comp-hg-euler"):
+            for over, terms, cap in (
+                (MAX_COMPUTE_N, "composition", closed_forms.COMPOSITION_CAP),
+                (closed_forms.COMPOSITION_CAP + 1, "composition", closed_forms.COMPOSITION_CAP),
+            ):
+                err = self.rejected(
+                    capsys, "compute", "--family", family, "--N", "1", "--max-n", str(over),
+                    "--method", "all",
+                )
+                assert err == f"error: index bound {over} exceeds the {terms}-route cap {cap}\n"
+        assert ran == []
+
+    def test_all_reports_the_first_methods_error_first(self, capsys):
+        # recurrence, the first method, refuses the N before any cap is read
+        err = self.rejected(
+            capsys, "compute", "--family", "hg-euler", "--N", "-1", "--max-n", "100",
+            "--method", "all",
+        )
+        assert err == "error: hg-euler needs N >= 0, got -1\n"
 
     def test_max_n_above_the_compute_bound(self, capsys):
         over = str(MAX_COMPUTE_N + 1)
@@ -291,3 +328,30 @@ def test_large_N_with_cold_factorials(capsys):
     code, out, err = run(capsys, "compute", "--family", "hg-euler", "--N", "3000", "--max-n", "2")
     assert code == EXIT_OK and err == ""
     assert list(csv.DictReader(io.StringIO(out)))[2]["value"] == "-1/18009001"
+
+
+@pytest.fixture
+def default_str_digits_limit():
+    """A fresh interpreter's limit on converting ints to text, in place for
+    the test and restored after it (Python 3.10.7 on; earlier ones have no
+    limit)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    held = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(held)
+
+
+def test_values_past_the_str_digits_limit(capsys, default_str_digits_limit):
+    code, out, err = run(
+        capsys, "compute", "--family", "hg-cauchy", "--N", "10000", "--max-n", "260",
+        "--method", "det",
+    )
+    assert code == EXIT_OK and err == ""
+    want = closed_forms.table_det(FamilyKind.HG_CAUCHY, 10000, 260)[260]
+    assert len(str(abs(want.numerator))) > 4300
+    assert out.splitlines()[-1] == f"hg-cauchy,10000,260,det,{format_rational(want)}"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hgnum.closed_forms import (
-    _weak_composition_sum,
+    _power_chain,
     bernoulli_det,
     cauchy_det,
     comp_hg_euler_binomial,
@@ -20,6 +20,7 @@ from hgnum.closed_forms import (
 )
 from hgnum.exact import InvalidParameter, compositions, factorial
 from hgnum.families import (
+    FamilyId,
     FamilyKind,
     comp_hg_euler_recurrence,
     hg_bernoulli,
@@ -71,7 +72,7 @@ class TestBinomial:
                     for p in parts:
                         term *= weights[p]
                     direct += term
-                assert _weak_composition_sum(weights, half, k) == direct
+                assert _power_chain(weights, half, k)[k][half] == direct
 
 
 class TestDeterminantRoute:
@@ -157,9 +158,24 @@ class TestInversePairing:
         for N in range(5):
             assert inverse_pair_check(FamilyKind.HG_EULER, N, 1)
 
-    def test_rejects_other_families(self):
-        with pytest.raises(InvalidParameter):
-            inverse_pair_check(FamilyKind.HG_BERNOULLI, 1, 3)
+    def test_stride_one_families(self):
+        # at stride 1 the pairing is the same Toeplitz inversion
+        for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
+            for N in range(1, 6):
+                assert inverse_pair_check(kind, N, 15), (kind, N)
+
+    def test_stride_one_fails_on_a_doctored_weight(self, monkeypatch):
+        family = FamilyId(FamilyKind.HG_CAUCHY, 2)
+        weights = family.weights(6)
+        doctored = weights[:3] + [weights[3] + 1] + weights[4:]
+        monkeypatch.setattr(FamilyId, "weights", lambda self, nmax: doctored[: nmax + 1])
+        assert not inverse_pair_check(FamilyKind.HG_CAUCHY, 2, 6)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(InvalidParameter, match="needs N >= 1"):
+            inverse_pair_check(FamilyKind.HG_BERNOULLI, 0, 3)
+        with pytest.raises(InvalidParameter, match="n must be positive"):
+            inverse_pair_check(FamilyKind.HG_CAUCHY, 1, 0)
 
 
 class TestFiveWayAgreementSmall:

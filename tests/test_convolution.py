@@ -16,15 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgnum import identities
-from hgnum.exact import (
-    I_POWERS,
-    GaussianRational,
-    InvalidParameter,
-    ZERO,
-    binomial,
-    convolve,
-    factorial,
-)
+from hgnum.exact import InvalidParameter, ZERO, binomial, convolve, factorial
 from hgnum.families import NumberTable
 from hgnum.identities import FailureWitness, IdentityReport
 from hgnum.series import TruncatedSeries
@@ -151,23 +143,25 @@ def reference_tangent(nmax):
 
 
 def reference_tangent_complex_sum(n):
-    total = GaussianRational.of(0, 0)
+    # (re, im) pairs for the Gaussian rationals
+    re, im = ZERO, ZERO
+    unit = (1, 0)  # i^k
     for k in range(1, 2 * n + 3):
+        unit = (-unit[1], unit[0])  # times i
         inner = ZERO
         for j in range(k + 1):
             inner += binomial(k, j) * F((-1) ** (j + 1) * (k - 2 * j) ** (2 * n + 2))
         # divide by i^k: multiply by its conjugate over its norm, which is 1
-        unit = I_POWERS[k % 4]
-        total = total + GaussianRational.of(inner / (F(2) ** k * k), 0) * GaussianRational(
-            unit.re, -unit.im
-        )
-    return total
+        x = inner / (F(2) ** k * k)
+        re += x * unit[0]
+        im -= x * unit[1]
+    return re, im
 
 
 def reference_tangent_complex(nmax):
     # the double sum is real for every n in these tests
     return reference_report(
-        "tangent-complex", nmax, lambda n: reference_tangent_complex_sum(n).re,
+        "tangent-complex", nmax, lambda n: reference_tangent_complex_sum(n)[0],
         lambda n: reference_y2(0, n),
     )
 
@@ -401,7 +395,7 @@ def test_tangent_complex_reports_imaginary_part(monkeypatch):
 
     def leaky(n):
         val = real(n)
-        return type(val)(val.re, F(1, 5)) if n == 2 else val
+        return (val[0], F(1, 5)) if n == 2 else val
 
     monkeypatch.setattr(identities, "tangent_complex_sum", leaky)
     report = identities.check_tangent_complex_sum(4)

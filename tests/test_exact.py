@@ -6,16 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hgnum.exact import (
-    GAUSSIAN_I,
-    GaussianRational,
     InvalidParameter,
     binomial,
     compositions,
     factorial,
     multinomial,
     partition_multiplicities,
-    rising_factorial,
 )
+from helpers import all_compositions, recursive_partition_multiplicities, rising_factorial
 
 
 def iterated_product(n):
@@ -109,7 +107,7 @@ class TestRisingFactorial:
 
 class TestCompositions:
     def test_all_lengths_of_three(self):
-        got = list(compositions(3, 1))
+        got = list(all_compositions(3))
         assert got == [(3,), (1, 2), (2, 1), (1, 1, 1)]
 
     def test_weak_length_two(self):
@@ -117,10 +115,10 @@ class TestCompositions:
 
     def test_count_is_power_of_two(self):
         for n in range(1, 21):
-            assert sum(1 for _ in compositions(n, 1)) == 2 ** (n - 1)
+            assert sum(1 for _ in all_compositions(n)) == 2 ** (n - 1)
 
     def test_large_count(self):
-        assert sum(1 for _ in compositions(15, 1)) == 16384
+        assert sum(1 for _ in all_compositions(15)) == 16384
 
     def test_fixed_length_count(self):
         # C(n-1, r-1) compositions of n into r positive parts
@@ -130,7 +128,7 @@ class TestCompositions:
 
     def test_each_tuple_once_and_valid(self):
         seen = set()
-        for parts in compositions(8, 1):
+        for parts in all_compositions(8):
             assert sum(parts) == 8 and all(p >= 1 for p in parts)
             assert parts not in seen
             seen.add(parts)
@@ -149,7 +147,7 @@ class TestCompositions:
 
     def test_weak_needs_length(self):
         with pytest.raises(InvalidParameter):
-            list(compositions(2, 0))
+            list(compositions(2, 0, 0))
 
 
 class TestPartitionMultiplicities:
@@ -170,9 +168,12 @@ class TestPartitionMultiplicities:
         for ts in partition_multiplicities(9):
             assert sum(k * t for k, t in enumerate(ts, start=1)) == 9
 
+    def test_same_order_as_the_recursion(self):
+        for m in range(1, 31):
+            assert list(partition_multiplicities(m)) == list(recursive_partition_multiplicities(m))
+
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
 @given(rationals, rationals)
@@ -181,17 +182,3 @@ def test_rational_sum_and_product_canonical(a, b):
     for v in (a + b, a * b):
         assert v.denominator > 0
     assert a + (-a) == F(0, 1)
-
-
-@given(gaussians, gaussians)
-def test_gaussian_multiplication_commutes(a, b):
-    assert a * b == b * a
-
-
-@given(gaussians, gaussians, gaussians)
-def test_gaussian_multiplication_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-def test_gaussian_i_squared():
-    assert GAUSSIAN_I * GAUSSIAN_I == GaussianRational.of(-1, 0)

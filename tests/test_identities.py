@@ -80,8 +80,8 @@ class TestTangent:
         assert_passed(check_tangent_closed_form(12))
 
     def test_complex_sum_first_values(self):
-        assert tangent_complex_sum(0).re == 1 and tangent_complex_sum(0).im == 0
-        assert tangent_complex_sum(1).re == -2 and tangent_complex_sum(1).im == 0
+        assert tangent_complex_sum(0) == (1, 0)
+        assert tangent_complex_sum(1) == (-2, 0)
 
     def test_complex_sum_suite(self):
         assert_passed(check_tangent_complex_sum(8))

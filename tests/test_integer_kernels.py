@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgnum.closed_forms import (
-    EULER_KINDS,
     _composition_sum,
     comp_hg_euler_binomial,
     comp_hg_euler_det,
@@ -26,9 +25,10 @@ from hgnum.closed_forms import (
     table_explicit,
     table_trudi,
 )
-from hgnum.exact import InvalidParameter, compositions, partition_multiplicities
+from hgnum.exact import InvalidParameter, partition_multiplicities
 from hgnum.families import SPECS, FamilyId, FamilyKind
 from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
+from helpers import EULER_KINDS, all_compositions
 
 
 def fraction_det_prefixes(entries):
@@ -39,9 +39,8 @@ def fraction_det_prefixes(entries):
     return d
 
 
-def fraction_trudi_expand(entries, a0=1):
+def fraction_trudi_expand(entries):
     m = len(entries)
-    a0 = F(a0)
     total = F(0)
     for ts in partition_multiplicities(m):
         term = F(1)
@@ -50,7 +49,7 @@ def fraction_trudi_expand(entries, a0=1):
         for t in ts:
             for i in range(2, t + 1):
                 term /= i
-        term *= (-a0) ** (m - sum(ts))
+        term *= (-1) ** (m - sum(ts))
         for k, t in enumerate(ts, start=1):
             term *= entries[k - 1] ** t
         total += term
@@ -59,7 +58,7 @@ def fraction_trudi_expand(entries, a0=1):
 
 def fraction_composition_sum(weights, half):
     total = F(0)
-    for parts in compositions(half, 1):
+    for parts in all_compositions(half):
         term = F((-1) ** len(parts))
         for p in parts:
             term *= weights[p]
@@ -85,18 +84,17 @@ def test_det_prefixes_match_the_fraction_recurrence(entries):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(rationals, min_size=1, max_size=9), rationals)
-def test_trudi_expand_matches_the_fraction_loop(entries, a0):
-    got = trudi_expand(entries, a0)
-    assert got == fraction_trudi_expand(entries, a0)
+@given(st.lists(rationals, min_size=1, max_size=9))
+def test_trudi_expand_matches_the_fraction_loop(entries):
+    got = trudi_expand(entries)
+    assert got == fraction_trudi_expand(entries)
     assert type(got) is F
 
 
-@pytest.mark.parametrize("a0", [F(1), F(0), F(-1), F(3, 7), F(-5, 2), 4])
-def test_trudi_expand_single_entry(a0):
-    # one partition, t_1 = 1: the value is a_1 whatever a0 is
+def test_trudi_expand_single_entry():
+    # one partition, t_1 = 1: the value is a_1
     for a1 in (F(0), F(-2, 9), F(5)):
-        assert trudi_expand([a1], a0) == a1 == fraction_trudi_expand([a1], a0)
+        assert trudi_expand([a1]) == a1 == fraction_trudi_expand([a1])
 
 
 @settings(max_examples=100, deadline=None)

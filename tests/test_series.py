@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgnum.exact import InvalidParameter, factorial, rising_factorial
+from hgnum.exact import InvalidParameter, factorial
 from hgnum.series import (
     TruncatedSeries,
     ZeroConstantTerm,
@@ -18,25 +18,25 @@ from hgnum.series import (
     gen_hgbernoulli_denom,
     gen_hgcauchy_denom,
     gen_sin,
-    gen_sinh_over_t,
 )
+from helpers import is_zero, monomial, rising_factorial
 
 
-def series_from_ints(ints, order=None):
-    return TruncatedSeries.from_coeffs([F(i) for i in ints], order)
+def series_from_ints(ints):
+    return TruncatedSeries.from_coeffs([F(i) for i in ints])
 
 
 class TestArithmetic:
     def test_add_cancels(self):
         c = gen_cosh(12)
-        assert (c + (-c)).is_zero()
+        assert is_zero(c + (-c))
 
     def test_scale_identity(self):
         c = gen_cosh(12)
         assert c.scale(1) == c
 
     def test_sub_f_at_zero_is_cosh(self):
-        assert (gen_f(0, 20) - gen_cosh(20)).is_zero()
+        assert is_zero(gen_f(0, 20) - gen_cosh(20))
 
     def test_mul_by_one(self):
         s = series_from_ints([3, 1, 4, 1, 5])
@@ -62,7 +62,7 @@ class TestArithmetic:
 
 class TestReciprocal:
     def test_geometric(self):
-        one_minus_t = series_from_ints([1, -1], order=10)
+        one_minus_t = series_from_ints([1, -1] + [0] * 9)
         assert one_minus_t.reciprocal().coeffs == (F(1),) * 11
 
     def test_euler_numbers_from_reciprocal(self):
@@ -85,11 +85,11 @@ class TestReciprocal:
 
 class TestDerivative:
     def test_constant(self):
-        assert TruncatedSeries.one(0).derivative().is_zero()
+        assert is_zero(TruncatedSeries.one(0).derivative())
 
     def test_cosh_to_sinh(self):
         d = gen_cosh(13).derivative()
-        sinh = gen_sinh_over_t(12).times_t()
+        sinh = gen_fk(1, 12).times_t()  # sinh t / t, times t
         assert d.agrees_with(sinh)
 
     def test_star_relation(self):
@@ -105,7 +105,7 @@ class TestHasseTeichmuller:
         assert s.hasse_teichmuller(0) == s
 
     def test_cubic(self):
-        t3 = TruncatedSeries.monomial(3, 5)
+        t3 = monomial(3, 5)
         got = t3.hasse_teichmuller(2)
         assert got[1] == 3 and all(got[k] == 0 for k in range(got.order + 1) if k != 1)
 

@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgnum.closed_forms import (
+    BINOMIAL_CAP,
     COMPOSITION_CAP,
-    EULER_KINDS,
     PARTITION_CAP,
+    check_cap,
     comp_hg_euler_binomial,
     comp_hg_euler_det,
     comp_hg_euler_explicit,
@@ -21,12 +22,14 @@ from hgnum.closed_forms import (
     hg_euler_det,
     hg_euler_explicit,
     hg_euler_trudi,
+    table_binomial,
     table_explicit,
     table_routes,
     table_trudi,
 )
 from hgnum.exact import InvalidParameter
 from hgnum.families import FamilyId, FamilyKind, table
+from helpers import EULER_KINDS
 
 # Composition-route enumeration doubles with every second index.
 ENUMERATING = ("explicit", "binomial")
@@ -138,3 +141,33 @@ def test_trudi_cap():
         comp_hg_euler_trudi(0, PARTITION_CAP + 2)
     assert table_trudi(kind, 0, 4) == [1, 0, F(-1, 3), 0, F(7, 15)]
     assert hg_euler_trudi(0, 8) == F(1385)
+
+
+def test_binomial_cap():
+    views = {
+        FamilyKind.HG_EULER: hg_euler_binomial,
+        FamilyKind.COMP_HG_EULER: comp_hg_euler_binomial,
+    }
+    for kind, view in views.items():
+        with pytest.raises(InvalidParameter, match=f"binomial-route cap {BINOMIAL_CAP}$"):
+            table_binomial(kind, 0, BINOMIAL_CAP + 1)
+        with pytest.raises(
+            InvalidParameter,
+            match=f"^index bound {BINOMIAL_CAP + 2} exceeds the binomial-route cap {BINOMIAL_CAP}$",
+        ):
+            view(0, BINOMIAL_CAP + 2)
+    assert table_binomial(FamilyKind.HG_EULER, 0, 6)[6] == F(-61)
+
+
+def test_check_cap_follows_the_registry():
+    caps = {"explicit": COMPOSITION_CAP, "binomial": BINOMIAL_CAP, "trudi": PARTITION_CAP}
+    for kind in EULER_KINDS:
+        for method, cap in caps.items():
+            check_cap(kind, method, cap)
+            with pytest.raises(InvalidParameter, match=f"cap {cap}$"):
+                check_cap(kind, method, cap + 1)
+        check_cap(kind, "det", 10**6)
+    # the reciprocal families' trudi is their determinant route, which has no cap
+    for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
+        for method in ("det", "trudi", "recurrence", "series"):
+            check_cap(kind, method, 10**6)
