@@ -20,13 +20,12 @@ import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import closed_forms, identities
 from .exact import InvalidParameter
-from .families import FamilyId, FamilyKind, table, via_series
+from .families import FamilyId, FamilyKind, table
 from .goldens import TABLE1, TABLE1_N_MAX, TABLE1_NMAX
 from .identities import IdentityReport
 
@@ -35,9 +34,7 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 EXIT_VERIFY_FAILED = 4
 
-_METHODS = ("recurrence", "series") + tuple(
-    dict.fromkeys(method for _, method in closed_forms.table_routes())
-)
+_METHODS = tuple(dict.fromkeys(method for _, method in closed_forms.table_routes()))
 
 # The largest ``compute --max-n``.  The series routes cost about the cube of
 # the index bound: hg-cauchy by series takes about 50 s at 1000 on a 2-CPU VM.
@@ -45,24 +42,11 @@ MAX_COMPUTE_N = 1000
 # ``verify`` refuses a ``--max-n`` above this many times the suite's default.
 SUITE_BOUND_FACTOR = 10
 
+_FIELDS = ("family", "N", "n", "method", "value")
+
 
 def format_rational(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    family: str
-    N: int
-    n: int
-    method: str
-    value: str
-
-
-def _methods_for(kind: FamilyKind) -> tuple[str, ...]:
-    return ("recurrence", "series") + tuple(
-        method for k, method in closed_forms.table_routes() if k is kind
-    )
 
 
 def _check_max_n(nmax: int, bound: int = MAX_COMPUTE_N, label: str = "--max-n") -> None:
@@ -72,75 +56,61 @@ def _check_max_n(nmax: int, bound: int = MAX_COMPUTE_N, label: str = "--max-n") 
         raise InvalidParameter(f"{label} must be at most {bound}, got {nmax}")
 
 
-def compute_values(kind: FamilyKind, N: int, nmax: int, method: str) -> list[Fraction]:
-    """Values v_0..v_nmax of the family by the requested method."""
-    _check_max_n(nmax)
-    if method == "recurrence":
-        return list(table(FamilyId(kind, N), nmax).values)
-    if method == "series":
-        return list(via_series(FamilyId(kind, N), nmax).values)
-    route = closed_forms.table_routes().get((kind, method))
-    if route is None:
-        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
-    return route(kind, N, nmax)
-
-
-def _write_records(records: list[OutputRecord], fmt: str, out_path: str | None) -> None:
-    records = sorted(records, key=lambda r: (r.family, r.N, r.n, r.method))
+def _write_records(rows: list[tuple], fmt: str, out_path: str | None) -> None:
     buf = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buf)
-        writer.writerow(["family", "N", "n", "method", "value"])
-        for r in records:
-            writer.writerow([r.family, r.N, r.n, r.method, r.value])
+        writer.writerow(_FIELDS)
+        writer.writerows(rows)
     else:
-        json.dump([r.__dict__ for r in records], buf, indent=2)
+        json.dump([dict(zip(_FIELDS, row)) for row in rows], buf, indent=2)
         buf.write("\n")
     _emit(buf.getvalue(), out_path)
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise InvalidParameter(f"cannot write {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise InvalidParameter(f"cannot write {out_path or 'stdout'}: {reason}") from None
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     kind = FamilyKind(args.family)
-    methods = _methods_for(kind) if args.method == "all" else (args.method,)
-    try:
-        if args.method == "all":
-            # every cap before any method runs, after the first method's checks
-            _check_max_n(args.max_n)
-            FamilyId(kind, args.N)
-            for m in methods:
-                closed_forms.check_cap(kind, m, args.max_n)
-        per_method = {m: compute_values(kind, args.N, args.max_n, m) for m in methods}
-    except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    records = [
-        OutputRecord(kind.value, args.N, n, m, format_rational(vals[n]))
-        for m, vals in per_method.items()
+    routes = closed_forms.table_routes()
+    methods = [m for k, m in routes if k is kind] if args.method == "all" else [args.method]
+    # Every check before any method runs, so a refused request costs nothing
+    # and ``all`` gives the message its first refused method would.
+    _check_max_n(args.max_n)
+    for m in methods:
+        if (kind, m) not in routes:
+            raise InvalidParameter(f"method {m} is not defined for {kind.value}")
+    FamilyId(kind, args.N)
+    for m in methods:
+        closed_forms.check_cap(kind, m, args.max_n)
+    columns = {m: routes[kind, m](kind, args.N, args.max_n) for m in methods}
+    rows = [
+        (kind.value, args.N, n, m, format_rational(columns[m][n]))
         for n in range(args.max_n + 1)
+        for m in sorted(methods)
     ]
-    _write_records(records, args.format, args.out)
-    if args.method == "all":
-        baseline = per_method[methods[0]]
-        for m, vals in per_method.items():
-            for n, (a, b) in enumerate(zip(baseline, vals)):
-                if a != b:
-                    print(
-                        f"disagreement at n={n}: {methods[0]}={format_rational(a)} "
-                        f"{m}={format_rational(b)}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_MISMATCH
+    _write_records(rows, args.format, args.out)
+    baseline = columns[methods[0]]
+    for m, vals in columns.items():
+        for n, (a, b) in enumerate(zip(baseline, vals)):
+            if a != b:
+                print(
+                    f"disagreement at n={n}: {methods[0]}={format_rational(a)} "
+                    f"{m}={format_rational(b)}",
+                    file=sys.stderr,
+                )
+                return EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -150,7 +120,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     header = ["n"] + [str(n) for n in range(0, TABLE1_NMAX + 1, 2)]
     lines.append("\t".join(header))
     for N in range(TABLE1_N_MAX + 1):
-        vals = compute_values(FamilyKind.HG_EULER, N, TABLE1_NMAX, "recurrence")
+        vals = table(FamilyId(FamilyKind.HG_EULER, N), TABLE1_NMAX)
         row = [f"E_{N}"]
         for n in range(0, TABLE1_NMAX + 1, 2):
             got = vals[n]

@@ -1,13 +1,15 @@
-"""Non-recurrence routes to each number: composition sums, binomial-weighted
-sums, Hessenberg determinants, and Trudi expansions.
+"""Every route of the ``compute`` command: the recurrence and series-reciprocal
+tables of :mod:`~hgnum.families`, composition sums, binomial-weighted sums,
+Hessenberg determinants, and Trudi expansions.
 
 Each route is a table route, ``table_<route>(kind, N, nmax)``, which returns
 the whole column v_0..v_nmax in one call and shares its work between the
 indices: the determinant route reads every value from one prefix-determinant
-pass, the binomial route from one chain of powers.  Every route is one
-formula in the family's weights a_0..a_m and stride s, both read off its
-:class:`~hgnum.families.FamilySpec`.  :func:`table_routes` is the registry of
-which route serves which family.
+pass, the binomial route from one chain of powers.  Every closed-form route
+is one formula in the family's weights a_0..a_m and stride s, both read off
+its :class:`~hgnum.families.FamilySpec`.  :func:`table_routes` is the
+registry of which route serves which method of which family; only the
+Euler-type families have the composition, binomial and Trudi expansions.
 
 The determinant, composition and Trudi kernels run on plain ints: each takes
 the weights as integer numerators over their common denominator
@@ -32,18 +34,21 @@ from typing import Callable, Sequence
 
 from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators
 from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
-from .families import SPECS, FamilyId, FamilyKind, table
+from .families import SPECS, FamilyId, FamilyKind, table, via_series
 
 COMPOSITION_CAP = 30
 BINOMIAL_CAP = 200
 PARTITION_CAP = 60
 
-# method -> (the name its errors use, what it enumerates, the largest index
-# it serves)
-_CAPPED = {
-    "explicit": ("explicit route", "composition", COMPOSITION_CAP),
-    "binomial": ("binomial route", "binomial", BINOMIAL_CAP),
-    "trudi": ("Trudi route", "partition", PARTITION_CAP),
+# The families with the composition, binomial and Trudi expansions (the
+# paper's Euler-type results).
+_EULER_TYPES = (FamilyKind.HG_EULER, FamilyKind.COMP_HG_EULER)
+
+# expansion method -> (what it enumerates, the largest index it serves)
+_CAPS = {
+    "explicit": ("composition", COMPOSITION_CAP),
+    "binomial": ("binomial", BINOMIAL_CAP),
+    "trudi": ("partition", PARTITION_CAP),
 }
 
 # (kind, N, nmax) -> v_0..v_nmax
@@ -52,8 +57,8 @@ TableRoute = Callable[[FamilyKind, int, int], list[Fraction]]
 
 def check_cap(kind: FamilyKind, method: str, nmax: int) -> None:
     """Refuse nmax past the cap, if any, of the route serving (kind, method)."""
-    if SPECS[kind].expansions and method in _CAPPED:
-        _, terms, cap = _CAPPED[method]
+    if kind in _EULER_TYPES and method in _CAPS:
+        terms, cap = _CAPS[method]
         if nmax > cap:
             raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
 
@@ -62,8 +67,8 @@ def _expanded(kind: FamilyKind, N: int, method: str, nmax: int) -> FamilyId:
     """The family, once it has the expansion ``method`` and nmax is within
     that route's cap."""
     family = FamilyId(kind, N)
-    if not family.spec.expansions:
-        raise InvalidParameter(f"no {_CAPPED[method][0]} for {kind.value}")
+    if kind not in _EULER_TYPES:
+        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
     check_cap(kind, method, nmax)
     return family
 
@@ -194,27 +199,33 @@ def table_trudi(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     return _expansion_table("trudi", kind, N, nmax)
 
 
+def _table_recurrence(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
+    return list(table(FamilyId(kind, N), nmax).values)
+
+
+def _table_series(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
+    return list(via_series(FamilyId(kind, N), nmax).values)
+
+
 def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
-    """The registry (family, method) -> table route of every closed-form
-    method.
+    """The registry (family, method) -> table route of every ``compute``
+    method, each family's methods in the order ``--method all`` runs them.
 
     It is built on each call from this module's current bindings, so a
     wrapper installed over a route by name (a tracer, a profiler) is the
     one returned.
     """
-    expansions = {
-        "explicit": table_explicit,
-        "binomial": table_binomial,
-        "det": table_det,
-        "trudi": table_trudi,
-    }
+    tables = {"recurrence": _table_recurrence, "series": _table_series}
+    expansions = dict(
+        tables, explicit=table_explicit, binomial=table_binomial, det=table_det, trudi=table_trudi
+    )
     # A family without the expansions has only the determinant route, which
     # also serves its ``trudi``.
-    det_only = {"det": table_det, "trudi": table_det}
+    det_only = dict(tables, det=table_det, trudi=table_det)
     return {
         (kind, method): route
         for kind in FamilyKind
-        for method, route in (expansions if SPECS[kind].expansions else det_only).items()
+        for method, route in (expansions if kind in _EULER_TYPES else det_only).items()
     }
 
 

@@ -41,15 +41,12 @@ class FamilyKind(enum.Enum):
 @dataclass(frozen=True)
 class FamilySpec:
     """``denominator(N, order)`` is F up to t^order.  ``recurrence(N, nmax)``,
-    if given, is the family's table route, a recurrence on the numbers.
-    ``expansions``: the family has the composition, binomial and Trudi
-    expansions (the paper's Euler-type results)."""
+    if given, is the family's table route, a recurrence on the numbers."""
 
     least_N: int
     stride: int
     denominator: Callable[[int, int], TruncatedSeries]
     recurrence: Callable[[int, int], tuple[Fraction, ...]] | None = None
-    expansions: bool = False
 
 
 def _check_nmax(nmax: int) -> None:
@@ -119,11 +116,11 @@ def _even_convolution_recurrence(w: int, nmax: int) -> tuple[Fraction, ...]:
 # or 2N+1 (comp-hg-euler); the recurrence takes the same w.
 SPECS: dict[FamilyKind, FamilySpec] = {
     FamilyKind.HG_EULER: FamilySpec(
-        least_N=0, stride=2, denominator=gen_f, expansions=True,
+        least_N=0, stride=2, denominator=gen_f,
         recurrence=lambda N, nmax: _even_convolution_recurrence(2 * N, nmax),
     ),
     FamilyKind.COMP_HG_EULER: FamilySpec(
-        least_N=0, stride=2, denominator=gen_fhat, expansions=True,
+        least_N=0, stride=2, denominator=gen_fhat,
         recurrence=lambda N, nmax: _even_convolution_recurrence(2 * N + 1, nmax),
     ),
     FamilyKind.HG_BERNOULLI: FamilySpec(least_N=1, stride=1, denominator=gen_hgbernoulli_denom),

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import hgnum
 from hgnum import closed_forms, identities
 from hgnum.cli import (
     EXIT_INVALID,
@@ -113,6 +116,22 @@ class TestCompute:
             "--method", "explicit",
         )
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "family, N", [("hg-euler", 0), ("comp-hg-euler", 0), ("hg-bernoulli", 1), ("hg-cauchy", 1)]
+    )
+    def test_all_rows_of_each_method_are_its_own_output(self, capsys, family, N):
+        args = ["compute", "--family", family, "--N", str(N), "--max-n", "8"]
+        code, out, _ = run(capsys, *args, "--method", "all")
+        assert code == EXIT_OK
+        header, *rows = out.splitlines()
+        methods = [m for k, m in closed_forms.table_routes() if k is FamilyKind(family)]
+        for method in methods:
+            code, single, _ = run(capsys, *args, "--method", method)
+            assert code == EXIT_OK
+            assert single.splitlines() == [header] + [
+                r for r in rows if r.split(",")[3] == method
+            ]
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "vals.csv"
@@ -229,9 +248,11 @@ class TestRejectedInput:
 
     def test_all_checks_every_cap_before_any_method_runs(self, capsys, monkeypatch):
         ran = []
-        monkeypatch.setattr(
-            "hgnum.cli.compute_values", lambda kind, N, nmax, method: ran.append(method)
-        )
+        recording = {
+            key: lambda kind, N, nmax, method=key[1]: ran.append(method)
+            for key in closed_forms.table_routes()
+        }
+        monkeypatch.setattr(closed_forms, "table_routes", lambda: recording)
         for family in ("hg-euler", "comp-hg-euler"):
             for over, terms, cap in (
                 (MAX_COMPUTE_N, "composition", closed_forms.COMPOSITION_CAP),
@@ -243,6 +264,24 @@ class TestRejectedInput:
                 )
                 assert err == f"error: index bound {over} exceeds the {terms}-route cap {cap}\n"
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the method is checked before N
+            (["hg-cauchy", "--N", "0", "--max-n", "4", "--method", "explicit"],
+             "method explicit is not defined for hg-cauchy"),
+            # --max-n before the method
+            (["hg-cauchy", "--N", "0", "--max-n", "-1", "--method", "explicit"],
+             "--max-n must be nonnegative, got -1"),
+            # N before the cap
+            (["hg-euler", "--N", "-1", "--max-n", "201", "--method", "binomial"],
+             "hg-euler needs N >= 0, got -1"),
+        ],
+    )
+    def test_check_order(self, capsys, argv, message):
+        err = self.rejected(capsys, "compute", "--family", *argv)
+        assert err == f"error: {message}\n"
 
     def test_all_reports_the_first_methods_error_first(self, capsys):
         # recurrence, the first method, refuses the N before any cap is read
@@ -314,6 +353,19 @@ class TestUnwritableOut:
             assert code == EXIT_INVALID
             assert out == ""
             assert err == f"error: cannot write {path}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_stdout(self, command):
+        src = os.path.dirname(os.path.dirname(hgnum.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hgnum.cli", *self.COMMANDS[command]],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_writable_out(self, capsys, tmp_path, command):

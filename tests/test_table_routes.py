@@ -45,9 +45,9 @@ def test_registry_covers_each_family():
     for kind, method in table_routes():
         methods.setdefault(kind, []).append(method)
     for kind in EULER_KINDS:
-        assert methods[kind] == ["explicit", "binomial", "det", "trudi"]
+        assert methods[kind] == ["recurrence", "series", "explicit", "binomial", "det", "trudi"]
     for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
-        assert methods[kind] == ["det", "trudi"]
+        assert methods[kind] == ["recurrence", "series", "det", "trudi"]
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
