@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``compute`` — emit a number table by any method (or all of them) as CSV or
-  JSON records ``family,N,n,method,value`` with exact ``p/q`` values.
+  JSON records ``family,N,n,method,value`` with exact ``p/q`` values.  ``all``
+  runs each route once: for hg-bernoulli and hg-cauchy the series route gives
+  the ``recurrence`` and ``series`` columns, the det route ``det`` and ``trudi``.
 * ``table1`` — recompute the published 7 x 8 table and diff it against the
   embedded golden copy.
 * ``verify`` — run identity suites and emit a JSON report.
@@ -21,7 +23,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import closed_forms, identities
 from .exact import InvalidParameter
@@ -88,13 +90,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     # Every check before any method runs, so a refused request costs nothing
     # and ``all`` gives the message its first refused method would.
     _check_max_n(args.max_n)
-    for m in methods:
-        if (kind, m) not in routes:
-            raise InvalidParameter(f"method {m} is not defined for {kind.value}")
+    if (kind, methods[0]) not in routes:
+        raise InvalidParameter(f"method {methods[0]} is not defined for {kind.value}")
     FamilyId(kind, args.N)
     for m in methods:
         closed_forms.check_cap(kind, m, args.max_n)
-    columns = {m: routes[kind, m](kind, args.N, args.max_n) for m in methods}
+    # A route that serves several methods runs once and gives each its column.
+    ran = {r: r(kind, args.N, args.max_n) for r in dict.fromkeys(routes[kind, m] for m in methods)}
+    columns = {m: ran[routes[kind, m]] for m in methods}
     rows = [
         (kind.value, args.N, n, m, format_rational(columns[m][n]))
         for n in range(args.max_n + 1)
@@ -187,8 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite in registry:
         selected = {args.suite: registry[args.suite]}
     else:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidParameter(f"unknown suite {args.suite!r}")
     if args.max_n is not None:
         for name, (_, default) in selected.items():
             _check_max_n(args.max_n, SUITE_BOUND_FACTOR * default, f"--max-n for suite {name}")
@@ -218,8 +220,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error raises InvalidParameter, so it ends in one ``error:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidParameter(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hgnum")
+    parser = _Parser(prog="hgnum")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a number table")
@@ -245,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Python (3.10.7 on) limits int-to-text conversion to guard parsing; the
-    # CLI prints only integers it computed itself
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        # Python (3.10.7 on) limits int-to-text conversion to guard parsing; the
+        # CLI prints only integers it computed itself
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         return args.fn(args)
     except InvalidParameter as exc:
         print(f"error: {exc}", file=sys.stderr)

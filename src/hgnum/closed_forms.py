@@ -8,8 +8,10 @@ indices: the determinant route reads every value from one prefix-determinant
 pass, the binomial route from one chain of powers.  Every closed-form route
 is one formula in the family's weights a_0..a_m and stride s, both read off
 its :class:`~hgnum.families.FamilySpec`.  :func:`table_routes` is the
-registry of which route serves which method of which family; only the
-Euler-type families have the composition, binomial and Trudi expansions.
+registry of which route serves which method of which family.  Only the Euler
+types have the composition, binomial and Trudi expansions; for hg-bernoulli
+and hg-cauchy the series route serves ``recurrence`` and ``series``, the det
+route ``det`` and ``trudi``, and ``--method all`` runs each route once.
 
 The determinant, composition and Trudi kernels run on plain ints: each takes
 the weights as integer numerators over their common denominator
@@ -215,17 +217,15 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     wrapper installed over a route by name (a tracer, a profiler) is the
     one returned.
     """
-    tables = {"recurrence": _table_recurrence, "series": _table_series}
-    expansions = dict(
-        tables, explicit=table_explicit, binomial=table_binomial, det=table_det, trudi=table_trudi
-    )
-    # A family without the expansions has only the determinant route, which
-    # also serves its ``trudi``.
-    det_only = dict(tables, det=table_det, trudi=table_det)
+    euler = dict(recurrence=_table_recurrence, series=_table_series, explicit=table_explicit,
+                 binomial=table_binomial, det=table_det, trudi=table_trudi)
+    # hg-bernoulli and hg-cauchy have no number recurrence or Trudi expansion
+    # here, so the series and det routes each serve two of their methods.
+    stride1 = dict(recurrence=_table_series, series=_table_series, det=table_det, trudi=table_det)
     return {
         (kind, method): route
         for kind in FamilyKind
-        for method, route in (expansions if kind in _EULER_TYPES else det_only).items()
+        for method, route in (euler if kind in _EULER_TYPES else stride1).items()
     }
 
 
@@ -302,7 +302,5 @@ def inverse_pair_check(kind: FamilyKind, N: int, n: int) -> bool:
         raise InvalidParameter(f"n must be positive, got {n}")
     s = family.spec.stride
     tab = table(family, s * n)
-    signed = [
-        Fraction((-1) ** k) * tab[s * k] / factorial(s * k) for k in range(1, n + 1)
-    ]
+    signed = [(-1) ** k * tab[s * k] / factorial(s * k) for k in range(1, n + 1)]
     return list(toeplitz_inverse(signed)) == family.weights(s * n)[1:]

@@ -62,7 +62,7 @@ def _first_mismatch(
     return _report(identity_id, range_checked, None)
 
 
-def check_euler_pair_sum(nmax: int = 20) -> IdentityReport:
+def check_euler_pair_sum(nmax: int) -> IdentityReport:
     """sum_i C(2n, 2i) E_{2i} = 0 for 1 <= n <= nmax."""
     e = hg_euler_recurrence(0, 2 * nmax).values
     # the EGF product of the even part of E with e^t, read at the even indices
@@ -73,7 +73,7 @@ def check_euler_pair_sum(nmax: int = 20) -> IdentityReport:
     )
 
 
-def check_E1_bernoulli(nmax: int = 60) -> IdentityReport:
+def check_E1_bernoulli(nmax: int) -> IdentityReport:
     """E_{1,n} = -(n-1) B_n for 1 <= n <= nmax."""
     e1 = hg_euler_recurrence(1, nmax).values
     b = hg_bernoulli(1, nmax)
@@ -81,7 +81,7 @@ def check_E1_bernoulli(nmax: int = 60) -> IdentityReport:
     return _first_mismatch("e1-bernoulli", f"1 <= n <= {nmax}", e1, rhs, first=1)
 
 
-def check_bernoulli_lemma(nmax: int = 30) -> IdentityReport:
+def check_bernoulli_lemma(nmax: int) -> IdentityReport:
     """sum_i (i-1) B_i / ((n-i+2)! i!) is 0 for even n and -B_{n+1}/n! for odd n."""
     b = hg_bernoulli(1, nmax + 1)
     lhs = convolve(
@@ -106,7 +106,7 @@ def y2(N: int, n: int) -> Fraction:
     return y2_column(N, n)[n]
 
 
-def check_tangent_closed_form(nmax: int = 12) -> IdentityReport:
+def check_tangent_closed_form(nmax: int) -> IdentityReport:
     """y2(0, n) = 2^{2n+2} (2^{2n+2} - 1) B_{2n+2} / (2n+2) for 0 <= n <= nmax."""
     b = hg_bernoulli(1, 2 * nmax + 2)
     rhs = []
@@ -129,7 +129,7 @@ def tangent_complex_sum(n: int) -> tuple[Fraction, Fraction]:
     return parts[0], parts[1]
 
 
-def check_tangent_complex_sum(nmax: int = 8) -> IdentityReport:
+def check_tangent_complex_sum(nmax: int) -> IdentityReport:
     """The double sum is real and its real part is y2(0, n) for 0 <= n <= nmax.
 
     A nonzero imaginary part fails the report with witness ("imag", n), the
@@ -146,7 +146,7 @@ def check_tangent_complex_sum(nmax: int = 8) -> IdentityReport:
     return _report("tangent-complex", rng, None)
 
 
-def check_tan_maclaurin(nmax: int = 12) -> IdentityReport:
+def check_tan_maclaurin(nmax: int) -> IdentityReport:
     """Odd tan coefficients are (-1)^n y2(0, n) / (2n+1)!; even ones vanish."""
     order = 2 * nmax + 1
     tan = gen_sin(order) * gen_cos(order).reciprocal()
@@ -180,14 +180,14 @@ def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
     return _first_mismatch(identity_id, f"0 <= n <= {nmax}", lhs, rhs)
 
 
-def check_sumprod_pair(N: int, nmax: int = 30) -> IdentityReport:
+def check_sumprod_pair(N: int, nmax: int) -> IdentityReport:
     """sum C(n,i) E_{N,i} E_{N,n-i} = sum C(n,k) (2N-k)/(2N) E_{N,k} Ehat_{N-1,n-k}."""
     if N < 1:
         raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
     return _sumprod_pair(f"sumprod-pair(N={N})", 2 * N, nmax)
 
 
-def check_sumprod_pair_comp(N: int, nmax: int = 30) -> IdentityReport:
+def check_sumprod_pair_comp(N: int, nmax: int) -> IdentityReport:
     """Complementary analogue of the pair identity: w = 2N+1."""
     if N < 1:
         raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
@@ -222,7 +222,7 @@ def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
     return _first_mismatch(identity_id, f"0 <= n <= {nmax}", _egf_cube(x, nmax), rhs)
 
 
-def check_sumprod_trinomial(N: int, nmax: int = 30) -> IdentityReport:
+def check_sumprod_trinomial(N: int, nmax: int) -> IdentityReport:
     """Trinomial sums of products for the main family: w = 2N, with the
     weights (4N-m)(2N-k)/(8N^2) on E_k Ehat_{N-1,n-m} Ehat_{N-1,m-k}."""
     if N < 1:
@@ -230,7 +230,7 @@ def check_sumprod_trinomial(N: int, nmax: int = 30) -> IdentityReport:
     return _sumprod_trinomial(f"sumprod-trinomial(N={N})", 2 * N, nmax)
 
 
-def check_sumprod_trinomial_comp(N: int, nmax: int = 30) -> IdentityReport:
+def check_sumprod_trinomial_comp(N: int, nmax: int) -> IdentityReport:
     """Trinomial sums of products for the complementary family: w = 2N+1,
     with the families swapped, N-1 replaced by N and the weights
     (4N-m+2)(2N-k+1)/(2(2N+1)^2)."""
@@ -249,7 +249,7 @@ def _first_diff(
     return None
 
 
-def check_series_identities(N: int, M: int = 24) -> IdentityReport:
+def check_series_identities(N: int, M: int) -> IdentityReport:
     """The truncated-series identities tying F, its starred/ladder variants and
     the reciprocal powers together; needs N >= 1."""
     if N < 1:

@@ -133,6 +133,31 @@ class TestCompute:
                 r for r in rows if r.split(",")[3] == method
             ]
 
+    @pytest.mark.parametrize(
+        "family, N, methods, routes",
+        [
+            ("hg-euler", 0, 6, 6), ("comp-hg-euler", 0, 6, 6),
+            # the series route serves recurrence and series, the det route det and trudi
+            ("hg-bernoulli", 1, 4, 2), ("hg-cauchy", 1, 4, 2),
+        ],
+    )
+    def test_all_runs_each_route_once(self, capsys, monkeypatch, family, N, methods, routes):
+        calls = []
+        for name in {route.__name__ for route in closed_forms.table_routes().values()}:
+            route = getattr(closed_forms, name)
+            monkeypatch.setattr(
+                closed_forms, name,
+                lambda *args, name=name, route=route: calls.append(name) or route(*args),
+            )
+        code, out, _ = run(
+            capsys, "compute", "--family", family, "--N", str(N), "--max-n", "12",
+            "--method", "all",
+        )
+        assert code == EXIT_OK
+        assert len(calls) == len(set(calls)) == routes
+        # every method still has its record for every n
+        assert len(out.splitlines()) == 1 + 13 * methods
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "vals.csv"
         code, out, _ = run(
@@ -319,6 +344,31 @@ class TestRejectedInput:
         err = self.rejected(capsys, "verify", "--suite", "all", "--max-n", "81")
         assert "suite tangent-complex must be at most 80" in err
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["compute", "--family", "hg-euler", "--N", "x", "--max-n", "3"], "--N"),
+            (["compute", "--family", "hg-euler", "--N", "1", "--max-n", "1.5"], "--max-n"),
+            (["compute", "--family", "nope", "--N", "1", "--max-n", "3"], "--family"),
+            (["compute", "--family", "hg-euler", "--N", "1", "--max-n", "3", "--method", "nope"],
+             "--method"),
+            (["compute", "--family", "hg-euler", "--N", "1", "--max-n", "3", "--bogus"], "--bogus"),
+            (["compute", "--family", "hg-euler", "--N", "1"], "--max-n"),
+            (["verify", "--max-n", "x"], "--max-n"),
+            (["bogus"], "bogus"),
+            ([], "command"),
+        ],
+    )
+    def test_malformed_arguments(self, capsys, argv, names):
+        err = self.rejected(capsys, *argv)
+        assert names in err and "usage" not in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--help"])
+        assert exc.value.code == 0
+        assert "--max-n" in capsys.readouterr().out
 
     def test_explicit_at_composition_cap(self, capsys):
         code, out, _ = run(

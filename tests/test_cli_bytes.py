@@ -38,8 +38,7 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("command", list(DIGESTS))
-def test_cli_output_is_unchanged(command, monkeypatch):
-    monkeypatch.delenv("HGNUM_THREADS", raising=False)
+def test_cli_output_is_unchanged(command):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(command.split())

@@ -118,9 +118,9 @@ class TestSumsOfProducts:
 
     def test_guard(self):
         with pytest.raises(InvalidParameter):
-            check_sumprod_pair(0)
+            check_sumprod_pair(0, 30)
         with pytest.raises(InvalidParameter):
-            check_sumprod_trinomial_comp(0)
+            check_sumprod_trinomial_comp(0, 30)
 
     def test_trinomial_lhs_two_routes_agree(self):
         # triple binomial convolution vs coefficient extraction from (1/F)^3

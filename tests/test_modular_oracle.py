@@ -1,0 +1,97 @@
+"""A modular oracle for every family, at sizes no other test reaches.
+
+Each family is v_n = n! [t^n] 1/F(t) with F = sum_j a_j t^{sj}.  Modulo the
+prime p = 2^61 - 1 the weights a_j come straight from their definitions,
+each from the one before, and the reciprocal is the recurrence
+r_0 = 1, r_m = -sum_{k=1}^m a_k r_{m-k} on residues: small-int arithmetic,
+with no code shared with the package.  Every denominator here divides a
+product of integers below 2N + n + 2, far below p, so every exact value has a
+residue.  Each ``compute`` method's exact table is reduced mod p and compared
+with the oracle: the determinant route at N = 10000, the recurrence and
+determinant routes of comp-hg-euler N = 3 to n = 300, and the composition
+and Trudi expansions at their caps.  These are the sizes where the integer
+kernels' common denominators and rescaling do the most work.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from hgnum.closed_forms import table_routes
+from hgnum.families import FamilyKind
+
+P = 2**61 - 1
+STRIDE = {"hg-euler": 2, "comp-hg-euler": 2, "hg-bernoulli": 1, "hg-cauchy": 1}
+
+
+def inverse(x):
+    return pow(x, P - 2, P)
+
+
+def weights_mod_p(family, N, m):
+    """a_0..a_m mod p: (2N)!/(2N+2j)! for hg-euler, (2N+1)!/(2N+2j+1)! for
+    comp-hg-euler, N!/(N+j)! for hg-bernoulli, (-1)^j N/(N+j) for hg-cauchy."""
+    a = [1]
+    for j in range(1, m + 1):
+        if family == "hg-cauchy":
+            a.append((-1) ** j * N * inverse(N + j) % P)
+        elif family == "hg-bernoulli":
+            a.append(a[-1] * inverse(N + j) % P)
+        else:
+            w = 2 * N + (family == "comp-hg-euler")
+            a.append(a[-1] * inverse((w + 2 * j - 1) * (w + 2 * j)) % P)
+    return a
+
+
+def numbers_mod_p(family, N, nmax):
+    """v_0..v_nmax mod p."""
+    s = STRIDE[family]
+    a = weights_mod_p(family, N, nmax // s)
+    r = [1]
+    for m in range(1, len(a)):
+        r.append(-sum(a[k] * r[m - k] for k in range(1, m + 1)) % P)
+    out, fact = [], 1
+    for n in range(nmax + 1):
+        fact = fact * max(n, 1) % P
+        out.append(fact * r[n // s] % P if n % s == 0 else 0)
+    return out
+
+
+def residue(v):
+    assert v.denominator % P
+    return v.numerator * inverse(v.denominator) % P
+
+
+@pytest.mark.parametrize(
+    "family, N, want",
+    [
+        ("hg-euler", 0, [1, 0, -1, 0, 5, 0, -61, 0, 1385]),  # Euler numbers
+        ("comp-hg-euler", 0, [1, 0, F(-1, 3), 0, F(7, 15)]),
+        ("hg-bernoulli", 1, [1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)]),  # B_n
+        ("hg-cauchy", 1, [1, F(1, 2), F(-1, 6), F(1, 4), F(-19, 30)]),  # n! [t^n] t/log(1+t)
+    ],
+)
+def test_oracle_gives_the_classical_numbers(family, N, want):
+    assert numbers_mod_p(family, N, len(want) - 1) == [residue(F(v)) for v in want]
+
+
+@pytest.mark.parametrize(
+    "family, N, method, nmax",
+    [
+        ("hg-euler", 10000, "det", 30),
+        ("hg-bernoulli", 10000, "det", 30),
+        ("hg-cauchy", 10000, "det", 150),
+        ("comp-hg-euler", 3, "recurrence", 300),
+        ("comp-hg-euler", 3, "det", 300),
+        ("hg-bernoulli", 7, "recurrence", 100),
+        ("hg-cauchy", 5, "series", 120),
+        ("hg-euler", 20, "explicit", 30),  # the composition cap
+        ("comp-hg-euler", 3, "trudi", 60),  # the partition cap
+        # the binomial cap, 200, takes about 3 s; 80 is past every other test
+        ("hg-euler", 1, "binomial", 80),
+    ],
+)
+def test_every_method_agrees_mod_p(family, N, method, nmax):
+    kind = FamilyKind(family)
+    got = table_routes()[kind, method](kind, N, nmax)
+    assert [residue(v) for v in got] == numbers_mod_p(family, N, nmax)
