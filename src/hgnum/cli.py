@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -72,15 +73,16 @@ def _write_records(rows: list[tuple], fmt: str, out_path: str | None) -> None:
 
 def _emit(text: str, out_path: str | None) -> None:
     try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
+        if out_path is None:
             sys.stdout.write(text)
             sys.stdout.flush()
+        else:
+            with open(out_path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
         reason = exc.strerror or exc
-        raise InvalidParameter(f"cannot write {out_path or 'stdout'}: {reason}") from None
+        target = "stdout" if out_path is None else out_path
+        raise InvalidParameter(f"cannot write {target}: {reason}") from None
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -253,9 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first request rather than at
+    import, so importing the CLI costs no more than it did."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # Python (3.10.7 on) limits int-to-text conversion to guard parsing; the
         # CLI prints only integers it computed itself
         if hasattr(sys, "set_int_max_str_digits"):

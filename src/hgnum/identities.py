@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .exact import InvalidParameter, ZERO, convolve, factorial
+from .exact import InvalidParameter, ZERO, convolve, factorial, numerators
 from .families import comp_hg_euler_recurrence, hg_bernoulli, hg_euler_recurrence
 from .series import (
     TruncatedSeries,
@@ -249,56 +249,76 @@ def _first_diff(
     return None
 
 
+def _first_scaled_diff(
+    label: str,
+    x: tuple[list[int], int],
+    x_factors: Sequence[int],
+    y: tuple[list[int], int],
+    y_factors: Sequence[int],
+) -> FailureWitness | None:
+    """The first m, below the length of the factor lists, where
+    x_factors[m] x_m != y_factors[m] y_m.
+
+    x and y are columns as integer numerators over one denominator (see
+    :func:`numerators`), so each side is compared by cross-multiplication and
+    becomes a Fraction only in a witness.
+    """
+    (xs, x_den), (ys, y_den) = x, y
+    for m, (p, q) in enumerate(zip(x_factors, y_factors)):
+        lhs, rhs = p * xs[m], q * ys[m]
+        if lhs * y_den != rhs * x_den:
+            return FailureWitness((label, m), Fraction(lhs, x_den), Fraction(rhs, y_den))
+    return None
+
+
+def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
+    """Each identity's first failure (or None), in order.
+
+    The derivative identities are linear in one series each: the coefficient
+    of t^m on either side is an integer multiple of that series' own t^m
+    coefficient, so they are checked on integer numerators.
+    """
+    f, fstar = gen_f(N, M), gen_fstar(N, M)
+    # 2N F + t F' = 2N F*
+    yield _first_scaled_diff(
+        "scaled-derivative",
+        numerators(f.coeffs), [2 * N + m for m in range(M)],
+        numerators(fstar.coeffs), [2 * N] * M,
+    )
+    fk = [numerators(gen_fk(k, M).coeffs) for k in range(2 * N + 1)]
+    # ladder: k F_{(2N-k)} + t F_{(2N-k)}' = k F_{(2N-k+1)}
+    for k in range(1, 2 * N + 1):
+        yield _first_scaled_diff(
+            f"ladder(k={k})", fk[k], [k + m for m in range(M)], fk[k - 1], [k] * M
+        )
+    # cosh expansion in derivatives of the ladder series:
+    # sum_i C(k,i) t^i f^{(i)}/i! = cosh t, and the divided-power derivative
+    # f^{(i)}/i! takes c_m t^m to C(m,i) c_m t^{m-i}
+    cosh = numerators(gen_cosh(M).coeffs)
+    for k in range(2 * N + 1):
+        ht = [
+            sum(math.comb(k, i) * math.comb(m, i) for i in range(k + 1)) for m in range(M - k + 1)
+        ]
+        yield _first_scaled_diff(f"cosh-expansion(k={k})", fk[k], ht, cosh, [1] * len(ht))
+    # 1/F and 1/F* are the EGFs of the hg-euler(N) and comp-hg-euler(N-1)
+    # tables: F* is comp-hg-euler(N-1)'s denominator.
+    inv_f = TruncatedSeries.from_egf(hg_euler_recurrence(N, M).values)
+    inv_fstar = TruncatedSeries.from_egf(comp_hg_euler_recurrence(N - 1, M).values)
+    # F' = -F^2 (1/F)'
+    yield _first_diff("reciprocal-derivative", f.derivative(), -(f * f * inv_f.derivative()), M - 1)
+    # 1/F^2 = (1/F*) (1/F - t/(2N) (1/F)')
+    inv_f2 = inv_f * inv_f
+    rhs = inv_fstar * (inv_f - inv_f.derivative().times_t().scale(Fraction(1, 2 * N)))
+    yield _first_diff("inv-square", inv_f2, rhs, M - 1)
+    # 1/F^3 = (1/F*) (1/F^2 - t/(4N) (1/F^2)')
+    rhs3 = inv_fstar * (inv_f2 - inv_f2.derivative().times_t().scale(Fraction(1, 4 * N)))
+    yield _first_diff("inv-cube", inv_f * inv_f2, rhs3, M - 1)
+
+
 def check_series_identities(N: int, M: int) -> IdentityReport:
     """The truncated-series identities tying F, its starred/ladder variants and
     the reciprocal powers together; needs N >= 1."""
     if N < 1:
         raise InvalidParameter(f"series identities need N >= 1, got {N}")
-    ident = f"series-identities(N={N})"
-    rng = f"order {M}"
-    f = gen_f(N, M)
-    fstar = gen_fstar(N, M)
-    # 1/F and 1/F* are the EGFs of the hg-euler(N) and comp-hg-euler(N-1)
-    # tables: F* is comp-hg-euler(N-1)'s denominator.
-    inv_f = TruncatedSeries.from_egf(hg_euler_recurrence(N, M).values)
-    inv_fstar = TruncatedSeries.from_egf(comp_hg_euler_recurrence(N - 1, M).values)
-
-    checks: list[tuple[str, TruncatedSeries, TruncatedSeries, int]] = []
-
-    # 2N F + t F' = 2N F*
-    checks.append(
-        ("scaled-derivative", f.scale(2 * N) + f.derivative().times_t(), fstar.scale(2 * N), M - 1)
-    )
-    # ladder: k F_{(2N-k)} + t F_{(2N-k)}' = k F_{(2N-k+1)}
-    for k in range(1, 2 * N + 1):
-        fk = gen_fk(k, M)
-        checks.append(
-            (f"ladder(k={k})", fk.scale(k) + fk.derivative().times_t(), gen_fk(k - 1, M).scale(k), M - 1)
-        )
-    # cosh expansion in derivatives of the ladder series
-    cosh = gen_cosh(M)
-    for k in range(0, 2 * N + 1):
-        fk = gen_fk(k, M)
-        acc = TruncatedSeries.zero(M - k if M >= k else 0)
-        for i in range(k + 1):
-            # the divided-power derivative is f^{(i)}/i!
-            term = fk.hasse_teichmuller(i).scale(math.comb(k, i))
-            for _ in range(i):
-                term = term.times_t()
-            acc = acc + term
-        checks.append((f"cosh-expansion(k={k})", acc, cosh, M - k))
-    # F' = -F^2 (1/F)'
-    checks.append(("reciprocal-derivative", f.derivative(), -(f * f * inv_f.derivative()), M - 1))
-    # 1/F^2 = (1/F*) (1/F - t/(2N) (1/F)')
-    rhs = inv_fstar * (inv_f - inv_f.derivative().times_t().scale(Fraction(1, 2 * N)))
-    checks.append(("inv-square", inv_f * inv_f, rhs, M - 1))
-    # 1/F^3 = (1/F*) (1/F^2 - t/(4N) (1/F^2)')
-    inv_f2 = inv_f * inv_f
-    rhs3 = inv_fstar * (inv_f2 - inv_f2.derivative().times_t().scale(Fraction(1, 4 * N)))
-    checks.append(("inv-cube", inv_f * inv_f2, rhs3, M - 1))
-
-    for label, lhs, rhs_s, upto in checks:
-        witness = _first_diff(label, lhs, rhs_s, upto)
-        if witness is not None:
-            return _report(ident, rng, witness)
-    return _report(ident, rng, None)
+    witness = next((w for w in _series_failures(N, M) if w is not None), None)
+    return _report(f"series-identities(N={N})", f"order {M}", witness)

@@ -140,9 +140,11 @@ def gen_fk(k: int, order: int) -> TruncatedSeries:
     if k < 0:
         raise InvalidParameter(f"k must be nonnegative, got {k}")
     cs = [ZERO] * (order + 1)
-    k_f = factorial(k)
+    # k!/(k+2n)! = 1/d_n with d_n = (k+1)(k+2)...(k+2n), an integer product
+    d = 1
     for n in range(order // 2 + 1):
-        cs[2 * n] = k_f / factorial(k + 2 * n)
+        cs[2 * n] = Fraction(1, d)
+        d *= (k + 2 * n + 1) * (k + 2 * n + 2)
     return TruncatedSeries(tuple(cs))
 
 
@@ -191,8 +193,13 @@ def gen_hgbernoulli_denom(N: int, order: int) -> TruncatedSeries:
     """sum N!/(N+n)! t^n; the reciprocal's EGF gives hypergeometric Bernoulli numbers."""
     if N < 1:
         raise InvalidParameter(f"N must be positive, got {N}")
-    n_f = factorial(N)
-    return TruncatedSeries(tuple(n_f / factorial(N + n) for n in range(order + 1)))
+    # N!/(N+n)! = 1/d_n with d_n = (N+1)(N+2)...(N+n)
+    cs = []
+    d = 1
+    for n in range(order + 1):
+        cs.append(Fraction(1, d))
+        d *= N + n + 1
+    return TruncatedSeries(tuple(cs))
 
 
 def gen_hgcauchy_denom(N: int, order: int) -> TruncatedSeries:

@@ -4,7 +4,7 @@ Each family is v_n = n! [t^n] 1/F(t) with F = sum_j a_j t^{sj}.  Modulo the
 prime p = 2^61 - 1 the weights a_j come straight from their definitions,
 each from the one before, and the reciprocal is the recurrence
 r_0 = 1, r_m = -sum_{k=1}^m a_k r_{m-k} on residues: small-int arithmetic,
-with no code shared with the package.  Every denominator here divides a
+with no code shared with the package (``helpers.numbers_mod_p``).  Every denominator here divides a
 product of integers below 2N + n + 2, far below p, so every exact value has a
 residue.  Each ``compute`` method's exact table is reduced mod p and compared
 with the oracle: the determinant route at N = 10000, the recurrence and
@@ -20,46 +20,7 @@ import pytest
 from hgnum.closed_forms import table_routes
 from hgnum.families import FamilyKind
 
-P = 2**61 - 1
-STRIDE = {"hg-euler": 2, "comp-hg-euler": 2, "hg-bernoulli": 1, "hg-cauchy": 1}
-
-
-def inverse(x):
-    return pow(x, P - 2, P)
-
-
-def weights_mod_p(family, N, m):
-    """a_0..a_m mod p: (2N)!/(2N+2j)! for hg-euler, (2N+1)!/(2N+2j+1)! for
-    comp-hg-euler, N!/(N+j)! for hg-bernoulli, (-1)^j N/(N+j) for hg-cauchy."""
-    a = [1]
-    for j in range(1, m + 1):
-        if family == "hg-cauchy":
-            a.append((-1) ** j * N * inverse(N + j) % P)
-        elif family == "hg-bernoulli":
-            a.append(a[-1] * inverse(N + j) % P)
-        else:
-            w = 2 * N + (family == "comp-hg-euler")
-            a.append(a[-1] * inverse((w + 2 * j - 1) * (w + 2 * j)) % P)
-    return a
-
-
-def numbers_mod_p(family, N, nmax):
-    """v_0..v_nmax mod p."""
-    s = STRIDE[family]
-    a = weights_mod_p(family, N, nmax // s)
-    r = [1]
-    for m in range(1, len(a)):
-        r.append(-sum(a[k] * r[m - k] for k in range(1, m + 1)) % P)
-    out, fact = [], 1
-    for n in range(nmax + 1):
-        fact = fact * max(n, 1) % P
-        out.append(fact * r[n // s] % P if n % s == 0 else 0)
-    return out
-
-
-def residue(v):
-    assert v.denominator % P
-    return v.numerator * inverse(v.denominator) % P
+from helpers import numbers_mod_p, residue
 
 
 @pytest.mark.parametrize(

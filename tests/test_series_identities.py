@@ -1,6 +1,7 @@
-"""``check_series_identities``: the cosh-expansion checks, which take
-f^{(i)}/i! from the divided-power derivative, and 1/F and 1/F*, which it
-reads off the hg-euler(N) and comp-hg-euler(N-1) tables."""
+"""``check_series_identities``: the derivative identities, which it checks on
+integer numerators, the cosh-expansion checks, which take f^{(i)}/i! from the
+divided-power derivative, and 1/F and 1/F*, which it reads off the
+hg-euler(N) and comp-hg-euler(N-1) tables."""
 
 from fractions import Fraction as F
 
@@ -10,6 +11,48 @@ from hgnum import identities
 from hgnum.families import NumberTable
 from hgnum.identities import check_series_identities
 from hgnum.series import TruncatedSeries, gen_f, gen_fstar
+
+from helpers import series_identities_oracle
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_same_reports_as_the_series_oracle(N):
+    for M in range(45):
+        assert check_series_identities(N, M) == series_identities_oracle(N, M), M
+
+
+def nudged(series, m, delta):
+    cs = list(series.coeffs)
+    cs[m] += delta
+    return TruncatedSeries(tuple(cs))
+
+
+def test_a_bent_ladder_series_fails_its_ladder_step(monkeypatch):
+    # F_2 at t^4 is 2!/6! = 1/360 and F_1 there is 1/120; the rung k = 1 and
+    # the scaled derivative (from gen_f and gen_fstar) do not read F_2
+    real = identities.gen_fk
+    monkeypatch.setattr(
+        identities, "gen_fk",
+        lambda k, order: nudged(real(k, order), 4, F(1, 7)) if k == 2 else real(k, order),
+    )
+    report = check_series_identities(2, 12)
+    assert not report.passed
+    assert report.first_failure.indices == ("ladder(k=2)", 4)
+    assert report.first_failure.lhs == 6 * (F(1, 360) + F(1, 7))
+    assert report.first_failure.rhs == 2 * F(1, 120)
+
+
+def test_a_bent_starred_series_fails_the_scaled_derivative(monkeypatch):
+    # N = 2: F at t^6 is 4!/10! = 1/151200 and F* is 3!/9! = 1/60480
+    real = identities.gen_fstar
+    monkeypatch.setattr(
+        identities, "gen_fstar", lambda N, order: nudged(real(N, order), 6, F(1, 11))
+    )
+    report = check_series_identities(2, 12)
+    assert not report.passed
+    assert report.first_failure.indices == ("scaled-derivative", 6)
+    assert report.first_failure.lhs == 10 * F(1, 151200)
+    assert report.first_failure.rhs == 4 * (F(1, 60480) + F(1, 11))
 
 
 def test_passes_when_the_order_is_below_the_ladder():
