@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -74,6 +76,8 @@ def _write_records(rows: list[tuple], fmt: str, out_path: str | None) -> None:
 def _emit(text: str, out_path: str | None) -> None:
     try:
         if out_path is None:
+            if sys.stdout is None:  # fd 1 was closed when Python started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:

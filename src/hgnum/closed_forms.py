@@ -18,11 +18,11 @@ the weights as integer numerators over their common denominator
 (:func:`~hgnum.exact.numerators`) and builds a ``Fraction`` once per
 determinant, once per composition sum and once per Trudi expansion.
 
-The per-index functions (``hg_euler_det(N, n)`` and the rest) take the
-number's actual index n and check it.  The explicit and Trudi views expand
-index n alone; the determinant and binomial views read it off the table
-route, whose earlier indices cost little.  The composition-sum route
-enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30, the
+:func:`value` is the one per-index entry point: ``value(kind, method, N,
+n)`` takes the number's actual index n and checks it.  The Euler types'
+explicit and Trudi methods expand index n alone; every other method reads it
+off its table route, whose earlier indices cost little.  The composition-sum
+route enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30, the
 Euler-type Trudi route p(n/2) partitions and is capped at n <= 60, and the
 binomial route, a chain of n powers of a polynomial of degree n/2, is capped
 at n <= 200.
@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators
-from .linalg import hessenberg_det_prefixes, toeplitz_inverse, trudi_expand
+from .linalg import hessenberg_det_prefixes, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table, via_series
 
 COMPOSITION_CAP = 30
@@ -178,15 +178,8 @@ def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[F
     family = _expanded(kind, N, method, nmax)
     s = family.spec.stride
     w = family.weights(nmax)
-    value = _EXPANSIONS[method]
-    return _spread([ONE] + [value(w, s, m) for m in range(1, len(w))], s, nmax)
-
-
-def _expansion_at(method: str, kind: FamilyKind, N: int, n: int) -> Fraction:
-    """v_n by its own expansion alone: no other index is computed."""
-    m = _index(kind, n)
-    family = _expanded(kind, N, method, n)
-    return _EXPANSIONS[method](family.weights(n), family.spec.stride, m)
+    expand = _EXPANSIONS[method]
+    return _spread([ONE] + [expand(w, s, m) for m in range(1, len(w))], s, nmax)
 
 
 def table_explicit(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
@@ -229,78 +222,60 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     }
 
 
-def _index(kind: FamilyKind, n: int) -> int:
-    """m = n / stride, once n is a positive multiple of the stride."""
+def value(kind: FamilyKind, method: str, N: int, n: int) -> Fraction:
+    """v_n of the family (kind, N) by ``method``, once n is a positive
+    multiple of the stride.  The Euler types' explicit and Trudi methods
+    expand index n alone, and no other index is computed; every other method
+    reads v_n off its table route in :func:`table_routes`."""
+    route = table_routes().get((kind, method))
+    if route is None:
+        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
     stride = SPECS[kind].stride
     if n < 1 or n % stride:
         raise InvalidParameter(f"index must be a positive multiple of {stride}, got {n}")
-    return n // stride
-
-
-def _at(route: TableRoute, kind: FamilyKind, N: int, n: int) -> Fraction:
-    """v_n read off a table route, once n is a positive multiple of the stride."""
-    _index(kind, n)
+    if kind in _EULER_TYPES and method in _EXPANSIONS:
+        family = _expanded(kind, N, method, n)
+        return _EXPANSIONS[method](family.weights(n), stride, n // stride)
     return route(kind, N, n)[n]
 
 
-def hg_euler_explicit(N: int, n: int) -> Fraction:
-    return _expansion_at("explicit", FamilyKind.HG_EULER, N, n)
-
-
-def hg_euler_binomial(N: int, n: int) -> Fraction:
-    return _at(table_binomial, FamilyKind.HG_EULER, N, n)
-
-
+# The determinant of each family by name, as bench/make_reference.py reads it.
 def hg_euler_det(N: int, n: int) -> Fraction:
-    return _at(table_det, FamilyKind.HG_EULER, N, n)
-
-
-def hg_euler_trudi(N: int, n: int) -> Fraction:
-    return _expansion_at("trudi", FamilyKind.HG_EULER, N, n)
-
-
-def comp_hg_euler_explicit(N: int, n: int) -> Fraction:
-    return _expansion_at("explicit", FamilyKind.COMP_HG_EULER, N, n)
-
-
-def comp_hg_euler_binomial(N: int, n: int) -> Fraction:
-    return _at(table_binomial, FamilyKind.COMP_HG_EULER, N, n)
+    return value(FamilyKind.HG_EULER, "det", N, n)
 
 
 def comp_hg_euler_det(N: int, n: int) -> Fraction:
-    return _at(table_det, FamilyKind.COMP_HG_EULER, N, n)
-
-
-def comp_hg_euler_trudi(N: int, n: int) -> Fraction:
-    return _expansion_at("trudi", FamilyKind.COMP_HG_EULER, N, n)
+    return value(FamilyKind.COMP_HG_EULER, "det", N, n)
 
 
 def hg_bernoulli_det(N: int, n: int) -> Fraction:
     """(-1)^n n! times the determinant with entries N!/(N+k)!."""
-    return _at(table_det, FamilyKind.HG_BERNOULLI, N, n)
-
-
-def bernoulli_det(n: int) -> Fraction:
-    return hg_bernoulli_det(1, n)
+    return value(FamilyKind.HG_BERNOULLI, "det", N, n)
 
 
 def hg_cauchy_det(N: int, n: int) -> Fraction:
     """(-1)^n n! times the determinant with entries (-1)^k N/(N+k)."""
-    return _at(table_det, FamilyKind.HG_CAUCHY, N, n)
-
-
-def cauchy_det(n: int) -> Fraction:
-    return hg_cauchy_det(1, n)
+    return value(FamilyKind.HG_CAUCHY, "det", N, n)
 
 
 def inverse_pair_check(kind: FamilyKind, N: int, n: int) -> bool:
     """The matrix-inverse pairing: applying the inversion lemma to the column
     of signed numbers (-1)^k v_{sk}/(sk)! must reproduce the family's weights
-    a_1..a_n entrywise, at stride 2 and at stride 1 alike."""
+    a_1..a_n entrywise, at stride 2 and at stride 1 alike.
+
+    The lemma pairs a column alpha_1..alpha_n with R(1)..R(n), defined by the
+    alternating relation
+
+        sum_{k=0}^n (-1)^{n-k} alpha_k R(n-k) = 0   (n >= 1),
+
+    with alpha_0 = R(0) = 1, which makes R(n) the Hessenberg determinant of
+    alpha_1..alpha_n.  The pairing is an involution, and the matrix with
+    column (-1)^k alpha_k has inverse with column (-1)^k R(k).
+    """
     family = FamilyId(kind, N)
     if n < 1:
         raise InvalidParameter(f"n must be positive, got {n}")
     s = family.spec.stride
     tab = table(family, s * n)
     signed = [(-1) ** k * tab[s * k] / factorial(s * k) for k in range(1, n + 1)]
-    return list(toeplitz_inverse(signed)) == family.weights(s * n)[1:]
+    return hessenberg_det_prefixes(signed)[1:] == family.weights(s * n)[1:]

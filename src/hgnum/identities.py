@@ -101,11 +101,6 @@ def y2_column(N: int, nmax: int) -> list[Fraction]:
     return convolve(e, e, 2 * nmax, egf=True)[::2]
 
 
-def y2(N: int, n: int) -> Fraction:
-    """Pair sum of products: sum_i C(2n, 2i) E_{N,2i} E_{N,2n-2i}."""
-    return y2_column(N, n)[n]
-
-
 def check_tangent_closed_form(nmax: int) -> IdentityReport:
     """y2(0, n) = 2^{2n+2} (2^{2n+2} - 1) B_{2n+2} / (2n+2) for 0 <= n <= nmax."""
     b = hg_bernoulli(1, 2 * nmax + 2)

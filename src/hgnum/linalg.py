@@ -1,5 +1,4 @@
-"""Toeplitz lower-Hessenberg determinants, their partition expansion, and the
-inversion pairing of unit lower-triangular Toeplitz matrices.
+"""Toeplitz lower-Hessenberg determinants and their partition expansion.
 
 The m x m Toeplitz lower-Hessenberg matrix is determined by its first column
 a_1..a_m: entry (i, j) is a_{i-j+1} for i >= j, 1 on the superdiagonal, 0
@@ -79,16 +78,3 @@ def trudi_expand(entries: Sequence[Fraction]) -> Fraction:
     total = sum(s * (-den) ** (m - r) for r, s in enumerate(by_parts) if s)
     return Fraction(total, den**m)
 
-
-def toeplitz_inverse(column: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The paired column R(1)..R(n) of the inversion lemma.
-
-    R is defined by the alternating relation
-
-        sum_{k=0}^n (-1)^{n-k} alpha_k R(n-k) = 0   (n >= 1),
-
-    with alpha_0 = R(0) = 1, which makes R(n) the Hessenberg determinant of
-    alpha_1..alpha_n.  The pairing is an involution, and the matrix with
-    column (-1)^k alpha_k has inverse with column (-1)^k R(k).
-    """
-    return tuple(hessenberg_det_prefixes(column)[1:])

@@ -218,6 +218,24 @@ class TestVerify:
         assert failure == {"indices": ["imag", "3"], "lhs": "1/5", "rhs": "0/1"}
 
 
+# One request of each subcommand that writes a result.
+WRITING_COMMANDS = {
+    "compute": ["compute", "--family", "hg-euler", "--N", "1", "--max-n", "4"],
+    "table1": ["table1"],
+    "verify": ["verify", "--suite", "tangent", "--max-n", "3"],
+}
+
+
+def run_cli_process(argv, **kwargs):
+    """hgnum's CLI in a fresh interpreter, with stderr captured as text."""
+    src = os.path.dirname(os.path.dirname(hgnum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "hgnum.cli", *argv],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=120, **kwargs,
+    )
+
+
 class TestRejectedInput:
     """Invalid requests end in exit 2 with a one-line message."""
 
@@ -374,9 +392,16 @@ class TestRejectedInput:
 
     def test_empty_out_path(self, capsys):
         # an empty --out names no file: it is refused, not taken for stdout
-        for argv in TestUnwritableOut.COMMANDS.values():
+        for argv in WRITING_COMMANDS.values():
             err = self.rejected(capsys, *argv, "--out", "")
             assert err == "error: cannot write : No such file or directory\n"
+
+    @pytest.mark.parametrize("command", list(WRITING_COMMANDS))
+    def test_closed_stdout(self, command):
+        # with fd 1 closed at startup Python sets sys.stdout to None
+        proc = run_cli_process(WRITING_COMMANDS[command], preexec_fn=lambda: os.close(1))
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
 
     def test_explicit_at_composition_cap(self, capsys):
         code, out, _ = run(
@@ -391,12 +416,6 @@ class TestUnwritableOut:
     """An ``--out`` that cannot be written ends in exit 2 with one line
     naming the path and the reason, for every subcommand."""
 
-    COMMANDS = {
-        "compute": ["compute", "--family", "hg-euler", "--N", "1", "--max-n", "4"],
-        "table1": ["table1"],
-        "verify": ["verify", "--suite", "tangent", "--max-n", "3"],
-    }
-
     def unwritable(self, tmp_path):
         # a missing directory, and a directory in place of a file
         return (
@@ -404,31 +423,26 @@ class TestUnwritableOut:
             (tmp_path, "Is a directory"),
         )
 
-    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("command", list(WRITING_COMMANDS))
     def test_unwritable_out(self, capsys, tmp_path, command):
         for path, reason in self.unwritable(tmp_path):
-            code, out, err = run(capsys, *self.COMMANDS[command], "--out", str(path))
+            code, out, err = run(capsys, *WRITING_COMMANDS[command], "--out", str(path))
             assert code == EXIT_INVALID
             assert out == ""
             assert err == f"error: cannot write {path}: {reason}\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("command", list(WRITING_COMMANDS))
     def test_unwritable_stdout(self, command):
-        src = os.path.dirname(os.path.dirname(hgnum.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "hgnum.cli", *self.COMMANDS[command]],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-            )
+            proc = run_cli_process(WRITING_COMMANDS[command], stdout=full)
         assert proc.returncode == EXIT_INVALID
         assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
-    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("command", list(WRITING_COMMANDS))
     def test_writable_out(self, capsys, tmp_path, command):
         path = tmp_path / "out.txt"
-        code, out, err = run(capsys, *self.COMMANDS[command], "--out", str(path))
+        code, out, err = run(capsys, *WRITING_COMMANDS[command], "--out", str(path))
         assert code == EXIT_OK and out == "" and err == ""
         assert path.read_text()
 

@@ -2,22 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum.closed_forms import (
-    _power_chain,
-    bernoulli_det,
-    cauchy_det,
-    comp_hg_euler_binomial,
-    comp_hg_euler_det,
-    comp_hg_euler_explicit,
-    comp_hg_euler_trudi,
-    hg_bernoulli_det,
-    hg_cauchy_det,
-    hg_euler_binomial,
-    hg_euler_det,
-    hg_euler_explicit,
-    hg_euler_trudi,
-    inverse_pair_check,
-)
+from hgnum.closed_forms import _power_chain, inverse_pair_check, value
 from hgnum.exact import InvalidParameter, compositions, factorial
 from hgnum.families import (
     FamilyId,
@@ -28,38 +13,43 @@ from hgnum.families import (
     hg_euler_recurrence,
 )
 
+EULER = FamilyKind.HG_EULER
+COMP = FamilyKind.COMP_HG_EULER
+BERNOULLI = FamilyKind.HG_BERNOULLI
+CAUCHY = FamilyKind.HG_CAUCHY
+
 
 class TestExplicit:
     def test_base_case(self):
         for N in range(8):
-            assert hg_euler_explicit(N, 2) == F(-2, (2 * N + 1) * (2 * N + 2))
+            assert value(EULER, "explicit", N, 2) == F(-2, (2 * N + 1) * (2 * N + 2))
 
     def test_classical_four(self):
-        assert hg_euler_explicit(0, 4) == 24 * (F(1, 4) - F(1, 24)) == 5
+        assert value(EULER, "explicit", 0, 4) == 24 * (F(1, 4) - F(1, 24)) == 5
 
     def test_worked_value(self):
-        assert hg_euler_explicit(3, 4) == F(17, 5880)
+        assert value(EULER, "explicit", 3, 4) == F(17, 5880)
 
     def test_odd_rejected(self):
         with pytest.raises(InvalidParameter):
-            hg_euler_explicit(1, 5)
+            value(EULER, "explicit", 1, 5)
 
     def test_cap(self):
         with pytest.raises(InvalidParameter, match="composition-route cap 30"):
-            hg_euler_explicit(0, 32)
-        assert hg_euler_explicit(0, 30) == hg_euler_det(0, 30)
+            value(EULER, "explicit", 0, 32)
+        assert value(EULER, "explicit", 0, 30) == value(EULER, "det", 0, 30)
 
 
 class TestBinomial:
     def test_worked_examples(self):
-        assert hg_euler_binomial(0, 4) == 5
-        assert hg_euler_binomial(1, 4) == F(1, 10)
-        assert hg_euler_binomial(2, 4) == F(13, 1050)
-        assert hg_euler_binomial(3, 4) == F(17, 5880)
+        assert value(EULER, "binomial", 0, 4) == 5
+        assert value(EULER, "binomial", 1, 4) == F(1, 10)
+        assert value(EULER, "binomial", 2, 4) == F(13, 1050)
+        assert value(EULER, "binomial", 3, 4) == F(17, 5880)
 
     def test_odd_rejected(self):
         with pytest.raises(InvalidParameter):
-            hg_euler_binomial(0, 3)
+            value(EULER, "binomial", 0, 3)
 
     def test_weak_sum_matches_enumeration(self):
         # the convolution shortcut equals the literal sum over weak compositions
@@ -78,73 +68,78 @@ class TestBinomial:
 class TestDeterminantRoute:
     def test_one_by_one(self):
         for N in range(6):
-            assert hg_euler_det(N, 2) == -2 * factorial(2 * N) / factorial(2 * N + 2)
+            assert value(EULER, "det", N, 2) == -2 * factorial(2 * N) / factorial(2 * N + 2)
 
     def test_classical_six(self):
-        assert hg_euler_det(0, 6) == -61
+        assert value(EULER, "det", 0, 6) == -61
 
     def test_table_value(self):
-        assert hg_euler_det(4, 6) == F(53, 2027025)
+        assert value(EULER, "det", 4, 6) == F(53, 2027025)
 
 
 class TestTrudiRoute:
     def test_classical_four(self):
-        assert hg_euler_trudi(0, 4) == 5
+        assert value(EULER, "trudi", 0, 4) == 5
 
     def test_table_value(self):
-        assert hg_euler_trudi(1, 6) == F(-5, 42)
+        assert value(EULER, "trudi", 1, 6) == F(-5, 42)
 
     def test_single_partition(self):
         for N in range(6):
-            assert hg_euler_trudi(N, 2) == -2 * factorial(2 * N) / factorial(2 * N + 2)
+            assert value(EULER, "trudi", N, 2) == -2 * factorial(2 * N) / factorial(2 * N + 2)
 
 
 class TestComplementaryRoutes:
     def test_det_base(self):
-        assert comp_hg_euler_det(0, 2) == F(-1, 3)
+        assert value(COMP, "det", 0, 2) == F(-1, 3)
 
     def test_trudi_classical_four(self):
-        assert comp_hg_euler_trudi(0, 4) == 24 * (F(1, 36) - F(1, 120)) == F(7, 15)
+        assert value(COMP, "trudi", 0, 4) == 24 * (F(1, 36) - F(1, 120)) == F(7, 15)
 
     def test_explicit_base(self):
         for N in range(8):
-            assert comp_hg_euler_explicit(N, 2) == F(-2, (2 * N + 2) * (2 * N + 3))
+            assert value(COMP, "explicit", N, 2) == F(-2, (2 * N + 2) * (2 * N + 3))
 
     def test_all_four_match_recurrence(self):
         for N in range(4):
             t = comp_hg_euler_recurrence(N, 12)
             for n in range(2, 13, 2):
-                assert comp_hg_euler_explicit(N, n) == t[n]
-                assert comp_hg_euler_binomial(N, n) == t[n]
-                assert comp_hg_euler_det(N, n) == t[n]
-                assert comp_hg_euler_trudi(N, n) == t[n]
+                assert value(COMP, "explicit", N, n) == t[n]
+                assert value(COMP, "binomial", N, n) == t[n]
+                assert value(COMP, "det", N, n) == t[n]
+                assert value(COMP, "trudi", N, n) == t[n]
 
 
 class TestBernoulliCauchyDets:
     def test_bernoulli_two(self):
-        assert bernoulli_det(2) == F(1, 6)
+        assert value(BERNOULLI, "det", 1, 2) == F(1, 6)
 
     def test_cauchy_two(self):
-        assert cauchy_det(2) == F(-1, 6)
+        assert value(CAUCHY, "det", 1, 2) == F(-1, 6)
 
     def test_hg_specialization(self):
-        for n in range(1, 11):
-            assert hg_bernoulli_det(1, n) == bernoulli_det(n)
-            assert hg_cauchy_det(1, n) == cauchy_det(n)
+        # N = 1 gives the Bernoulli numbers (B_1 = -1/2) and the Cauchy
+        # numbers of the first kind
+        bernoulli = [F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42), 0, F(-1, 30)]
+        cauchy = [F(1, 2), F(-1, 6), F(1, 4), F(-19, 30), F(9, 4), F(-863, 84), F(1375, 24)]
+        for n, v in enumerate(bernoulli, 1):
+            assert value(BERNOULLI, "det", 1, n) == v, n
+        for n, v in enumerate(cauchy, 1):
+            assert value(CAUCHY, "det", 1, n) == v, n
 
     def test_match_tables(self):
         for N in range(1, 5):
             b = hg_bernoulli(N, 12)
             c = hg_cauchy(N, 12)
             for n in range(1, 13):
-                assert hg_bernoulli_det(N, n) == b[n]
-                assert hg_cauchy_det(N, n) == c[n]
+                assert value(BERNOULLI, "det", N, n) == b[n]
+                assert value(CAUCHY, "det", N, n) == c[n]
 
     def test_guards(self):
         with pytest.raises(InvalidParameter):
-            hg_bernoulli_det(0, 2)
+            value(BERNOULLI, "det", 0, 2)
         with pytest.raises(InvalidParameter):
-            hg_cauchy_det(1, 0)
+            value(CAUCHY, "det", 1, 0)
 
 
 class TestInversePairing:
@@ -183,10 +178,10 @@ class TestFiveWayAgreementSmall:
         for N in range(4):
             t = hg_euler_recurrence(N, 12)
             for n in range(2, 13, 2):
-                assert hg_euler_explicit(N, n) == t[n]
-                assert hg_euler_binomial(N, n) == t[n]
-                assert hg_euler_det(N, n) == t[n]
-                assert hg_euler_trudi(N, n) == t[n]
+                assert value(EULER, "explicit", N, n) == t[n]
+                assert value(EULER, "binomial", N, n) == t[n]
+                assert value(EULER, "det", N, n) == t[n]
+                assert value(EULER, "trudi", N, n) == t[n]
 
 
 class TestNumbersDeterminantInverse:

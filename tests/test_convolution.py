@@ -319,7 +319,6 @@ def test_tangent_complex_sum_matches_reference():
 def test_y2_column_matches_reference(N):
     column = identities.y2_column(N, 10)
     assert column == [reference_y2(N, n) for n in range(11)]
-    assert identities.y2(N, 10) == column[10]
 
 
 def test_trinomial_convolution_matches_reference():

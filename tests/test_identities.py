@@ -19,7 +19,7 @@ from hgnum.identities import (
     check_tangent_complex_sum,
     tangent_complex_sum,
     trinomial_convolution,
-    y2,
+    y2_column,
 )
 from hgnum.series import gen_f, gen_fk
 
@@ -69,8 +69,7 @@ class TestBernoulliLemma:
 
 class TestTangent:
     def test_y2_values(self):
-        for n, v in enumerate(TANGENT_VALUES):
-            assert y2(0, n) == v
+        assert y2_column(0, len(TANGENT_VALUES) - 1) == TANGENT_VALUES
 
     def test_closed_form_hand_values(self):
         assert F(4 * 3) * F(1, 6) / 2 == 1

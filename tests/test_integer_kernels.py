@@ -1,6 +1,5 @@
 """The integer-numerator kernels against the Fraction loops they replaced,
-which are kept here as references, and the per-index views against the
-table routes they no longer read from."""
+which are kept here as references."""
 
 from fractions import Fraction as F
 
@@ -8,25 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgnum.closed_forms import (
-    _composition_sum,
-    comp_hg_euler_binomial,
-    comp_hg_euler_det,
-    comp_hg_euler_explicit,
-    comp_hg_euler_trudi,
-    hg_bernoulli_det,
-    hg_cauchy_det,
-    hg_euler_binomial,
-    hg_euler_det,
-    hg_euler_explicit,
-    hg_euler_trudi,
-    table_binomial,
-    table_det,
-    table_explicit,
-    table_trudi,
-)
-from hgnum.exact import InvalidParameter, partition_multiplicities
-from hgnum.families import SPECS, FamilyId, FamilyKind
+from hgnum.closed_forms import _composition_sum
+from hgnum.exact import partition_multiplicities
+from hgnum.families import FamilyId
 from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
 from helpers import EULER_KINDS, all_compositions
 
@@ -110,53 +93,3 @@ def test_composition_sum_on_family_weights(kind):
         weights = FamilyId(kind, N).weights(24)
         for half in range(1, 13):
             assert _composition_sum(weights, half) == fraction_composition_sum(weights, half)
-
-
-VIEWS = {
-    FamilyKind.HG_EULER: {
-        table_explicit: hg_euler_explicit,
-        table_binomial: hg_euler_binomial,
-        table_det: hg_euler_det,
-        table_trudi: hg_euler_trudi,
-    },
-    FamilyKind.COMP_HG_EULER: {
-        table_explicit: comp_hg_euler_explicit,
-        table_binomial: comp_hg_euler_binomial,
-        table_det: comp_hg_euler_det,
-        table_trudi: comp_hg_euler_trudi,
-    },
-    FamilyKind.HG_BERNOULLI: {table_det: hg_bernoulli_det},
-    FamilyKind.HG_CAUCHY: {table_det: hg_cauchy_det},
-}
-VIEW_NMAX = 20
-
-
-@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
-def test_each_view_equals_its_table_route(kind):
-    stride = SPECS[kind].stride
-    for N in range(SPECS[kind].least_N, 7):
-        for route, view in VIEWS[kind].items():
-            column = route(kind, N, VIEW_NMAX)
-            for n in range(stride, VIEW_NMAX + 1, stride):
-                assert view(N, n) == column[n], (route.__name__, N, n)
-
-
-@pytest.mark.parametrize(
-    "view, kind, cap",
-    [
-        (hg_euler_explicit, FamilyKind.HG_EULER, 30),
-        (comp_hg_euler_trudi, FamilyKind.COMP_HG_EULER, 60),
-    ],
-    ids=["explicit", "trudi"],
-)
-def test_views_keep_their_checks(view, kind, cap):
-    with pytest.raises(InvalidParameter, match="positive multiple of 2"):
-        view(1, 7)
-    with pytest.raises(InvalidParameter, match="positive multiple of 2"):
-        view(1, 0)
-    with pytest.raises(InvalidParameter, match=f"index bound {cap + 2} exceeds .* cap {cap}$"):
-        view(1, cap + 2)
-    with pytest.raises(InvalidParameter, match="needs N >= 0"):
-        view(-1, 2)
-    # the cap itself is allowed
-    assert view(1, cap) == table_det(kind, 1, cap)[cap]

@@ -1,34 +1,28 @@
 """The table-route registry: every closed-form route, as a whole column,
-against the recurrence/series tables and against each other."""
+against the recurrence/series tables and against each other; and the
+per-index entry point :func:`~hgnum.closed_forms.value` over it."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hgnum import closed_forms, exact, linalg
 from hgnum.closed_forms import (
     BINOMIAL_CAP,
     COMPOSITION_CAP,
     PARTITION_CAP,
     check_cap,
-    comp_hg_euler_binomial,
-    comp_hg_euler_det,
-    comp_hg_euler_explicit,
-    comp_hg_euler_trudi,
-    hg_bernoulli_det,
-    hg_cauchy_det,
-    hg_euler_binomial,
-    hg_euler_det,
-    hg_euler_explicit,
-    hg_euler_trudi,
     table_binomial,
     table_explicit,
     table_routes,
     table_trudi,
+    value,
 )
 from hgnum.exact import InvalidParameter
-from hgnum.families import FamilyId, FamilyKind, table
+from hgnum.families import SPECS, FamilyId, FamilyKind, table
 from helpers import EULER_KINDS
 
 # Composition-route enumeration doubles with every second index.
@@ -87,34 +81,6 @@ def test_routes_agree(request):
         assert column == first, method
 
 
-PER_INDEX_EULER = (
-    hg_euler_explicit,
-    hg_euler_binomial,
-    hg_euler_det,
-    hg_euler_trudi,
-    comp_hg_euler_explicit,
-    comp_hg_euler_binomial,
-    comp_hg_euler_det,
-    comp_hg_euler_trudi,
-)
-
-
-@pytest.mark.parametrize("route", PER_INDEX_EULER, ids=lambda f: f.__name__)
-def test_per_index_euler_rejects_bad_indices(route):
-    for n in (-2, -1, 0, 1, 3, 7):
-        with pytest.raises(InvalidParameter):
-            route(1, n)
-    with pytest.raises(InvalidParameter):
-        route(-1, 2)
-
-
-@pytest.mark.parametrize("route", (hg_bernoulli_det, hg_cauchy_det), ids=lambda f: f.__name__)
-def test_per_index_reciprocal_rejects_bad_indices(route):
-    for N, n in ((1, 0), (1, -3), (0, 2), (-1, 2)):
-        with pytest.raises(InvalidParameter):
-            route(N, n)
-
-
 def test_table_routes_reject_bad_arguments():
     routes = table_routes()
     with pytest.raises(InvalidParameter):
@@ -138,24 +104,20 @@ def test_trudi_cap():
     with pytest.raises(InvalidParameter, match=f"cap {PARTITION_CAP}"):
         table_trudi(kind, 0, PARTITION_CAP + 1)
     with pytest.raises(InvalidParameter, match=f"cap {PARTITION_CAP}"):
-        comp_hg_euler_trudi(0, PARTITION_CAP + 2)
+        value(kind, "trudi", 0, PARTITION_CAP + 2)
     assert table_trudi(kind, 0, 4) == [1, 0, F(-1, 3), 0, F(7, 15)]
-    assert hg_euler_trudi(0, 8) == F(1385)
+    assert value(FamilyKind.HG_EULER, "trudi", 0, 8) == F(1385)
 
 
 def test_binomial_cap():
-    views = {
-        FamilyKind.HG_EULER: hg_euler_binomial,
-        FamilyKind.COMP_HG_EULER: comp_hg_euler_binomial,
-    }
-    for kind, view in views.items():
+    for kind in EULER_KINDS:
         with pytest.raises(InvalidParameter, match=f"binomial-route cap {BINOMIAL_CAP}$"):
             table_binomial(kind, 0, BINOMIAL_CAP + 1)
         with pytest.raises(
             InvalidParameter,
             match=f"^index bound {BINOMIAL_CAP + 2} exceeds the binomial-route cap {BINOMIAL_CAP}$",
         ):
-            view(0, BINOMIAL_CAP + 2)
+            value(kind, "binomial", 0, BINOMIAL_CAP + 2)
     assert table_binomial(FamilyKind.HG_EULER, 0, 6)[6] == F(-61)
 
 
@@ -171,3 +133,86 @@ def test_check_cap_follows_the_registry():
     for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
         for method in ("det", "trudi", "recurrence", "series"):
             check_cap(kind, method, 10**6)
+
+
+# A value index small enough for every route, the enumerating ones included.
+VALUE_NMAX = 20
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_value_reads_every_route(kind):
+    stride = SPECS[kind].stride
+    for N in range(min_N(kind), 7):
+        for (k, method), route in table_routes().items():
+            if k is not kind:
+                continue
+            column = route(kind, N, VALUE_NMAX)
+            for n in range(stride, VALUE_NMAX + 1, stride):
+                assert value(kind, method, N, n) == column[n], (method, N, n)
+
+
+# p(m), the number of partitions of m, for m = 0..12
+PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
+
+
+@pytest.mark.parametrize("kind", EULER_KINDS, ids=lambda k: k.value)
+def test_value_expands_index_n_alone(kind, monkeypatch):
+    """The explicit and Trudi methods enumerate for index n = s m only: the
+    2^(m-1) compositions of m, and the p(m) partitions of m."""
+    yielded = []
+
+    def counting(enumerate_terms):
+        def wrapper(*args):
+            for term in enumerate_terms(*args):
+                yielded.append(term)
+                yield term
+
+        return wrapper
+
+    monkeypatch.setattr(closed_forms, "compositions", counting(exact.compositions))
+    monkeypatch.setattr(
+        linalg, "partition_multiplicities", counting(exact.partition_multiplicities)
+    )
+    stride = SPECS[kind].stride
+    for m in range(1, 13):
+        yielded.clear()
+        value(kind, "explicit", 2, stride * m)
+        assert len(yielded) == 2 ** (m - 1), ("explicit", m)
+        yielded.clear()
+        value(kind, "trudi", 2, stride * m)
+        assert len(yielded) == PARTITION_COUNTS[m], ("trudi", m)
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_value_refusals(kind):
+    stride = SPECS[kind].stride
+    N = min_N(kind)
+
+    def refused(method, n, message, at_N=N):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            value(kind, method, at_N, n)
+
+    for method in (m for k, m in table_routes() if k is kind):
+        for n in (-3, -2, -1, 0, 1, 3, 7):
+            if n < 1 or n % stride:
+                refused(method, n, f"index must be a positive multiple of {stride}, got {n}")
+        for bad_N in {N - 1, -1}:
+            refused(method, stride, f"{kind.value} needs N >= {N}, got {bad_N}", at_N=bad_N)
+    if kind in EULER_KINDS:
+        caps = {"explicit": COMPOSITION_CAP, "binomial": BINOMIAL_CAP, "trudi": PARTITION_CAP}
+        terms = {"explicit": "composition", "binomial": "binomial", "trudi": "partition"}
+        for method, cap in caps.items():
+            refused(method, cap + 1, f"index must be a positive multiple of 2, got {cap + 1}")
+            refused(
+                method,
+                cap + 2,
+                f"index bound {cap + 2} exceeds the {terms[method]}-route cap {cap}",
+            )
+        # the cap itself is allowed (the binomial one takes seconds)
+        for method in ("explicit", "trudi"):
+            cap = caps[method]
+            assert value(kind, method, N, cap) == table(FamilyId(kind, N), cap)[cap]
+    else:
+        for method in ("explicit", "binomial"):
+            refused(method, 2, f"method {method} is not defined for {kind.value}")
+    refused("nosuch", stride, f"method nosuch is not defined for {kind.value}")
