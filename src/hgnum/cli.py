@@ -89,6 +89,13 @@ def _emit(text: str, out_path: str | None) -> None:
         raise InvalidParameter(f"cannot write {target}: {reason}") from None
 
 
+def _stderr(line: str) -> None:
+    """One line to stderr, dropped if there is none (fd 2 was closed when
+    Python started): ``print`` would otherwise put it on stdout."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     kind = FamilyKind(args.family)
     routes = closed_forms.table_routes()
@@ -96,11 +103,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     # Every check before any method runs, so a refused request costs nothing
     # and ``all`` gives the message its first refused method would.
     _check_max_n(args.max_n)
-    if (kind, methods[0]) not in routes:
-        raise InvalidParameter(f"method {methods[0]} is not defined for {kind.value}")
-    FamilyId(kind, args.N)
     for m in methods:
-        closed_forms.check_cap(kind, m, args.max_n)
+        closed_forms.admit(kind, m, args.N, args.max_n)
     # A route that serves several methods runs once and gives each its column.
     ran = {r: r(kind, args.N, args.max_n) for r in dict.fromkeys(routes[kind, m] for m in methods)}
     columns = {m: ran[routes[kind, m]] for m in methods}
@@ -114,10 +118,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     for m, vals in columns.items():
         for n, (a, b) in enumerate(zip(baseline, vals)):
             if a != b:
-                print(
+                _stderr(
                     f"disagreement at n={n}: {methods[0]}={format_rational(a)} "
-                    f"{m}={format_rational(b)}",
-                    file=sys.stderr,
+                    f"{m}={format_rational(b)}"
                 )
                 return EXIT_MISMATCH
     return EXIT_OK
@@ -144,7 +147,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     if mismatches:
         for m in mismatches:
-            print(f"diff: {m}", file=sys.stderr)
+            _stderr(f"diff: {m}")
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -217,10 +220,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name, r in reports:
             if not r.passed:
                 ff = r.first_failure
-                print(
+                _stderr(
                     f"FAIL {name}/{r.identity_id} at {ff.indices}: "
-                    f"lhs={format_rational(ff.lhs)} rhs={format_rational(ff.rhs)}",
-                    file=sys.stderr,
+                    f"lhs={format_rational(ff.lhs)} rhs={format_rational(ff.rhs)}"
                 )
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -275,7 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         return args.fn(args)
     except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return EXIT_INVALID
 
 

@@ -18,14 +18,16 @@ the weights as integer numerators over their common denominator
 (:func:`~hgnum.exact.numerators`) and builds a ``Fraction`` once per
 determinant, once per composition sum and once per Trudi expansion.
 
-:func:`value` is the one per-index entry point: ``value(kind, method, N,
-n)`` takes the number's actual index n and checks it.  The Euler types'
-explicit and Trudi methods expand index n alone; every other method reads it
-off its table route, whose earlier indices cost little.  The composition-sum
-route enumerates 2^{n/2 - 1} tuples for index n and is capped at n <= 30, the
-Euler-type Trudi route p(n/2) partitions and is capped at n <= 60, and the
-binomial route, a chain of n powers of a polynomial of degree n/2, is capped
-at n <= 200.
+:func:`admit` is the one admission check, made before any route runs: the
+method must be in the registry for the family, N in the family's range and
+the index bound within the cap of the route serving the method.  The
+composition-sum route enumerates 2^{n/2 - 1} tuples for index n and is capped
+at n <= 30, the Euler-type Trudi route p(n/2) partitions and is capped at
+n <= 60, and the binomial route, a chain of n powers of a polynomial of
+degree n/2, is capped at n <= 200.  :func:`value` is the one per-index entry
+point: ``value(kind, method, N, n)`` checks the index n and admits the
+request.  The Euler types' explicit and Trudi methods expand index n alone;
+every other method reads it off its table route.
 """
 
 from __future__ import annotations
@@ -55,24 +57,6 @@ _CAPS = {
 
 # (kind, N, nmax) -> v_0..v_nmax
 TableRoute = Callable[[FamilyKind, int, int], list[Fraction]]
-
-
-def check_cap(kind: FamilyKind, method: str, nmax: int) -> None:
-    """Refuse nmax past the cap, if any, of the route serving (kind, method)."""
-    if kind in _EULER_TYPES and method in _CAPS:
-        terms, cap = _CAPS[method]
-        if nmax > cap:
-            raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
-
-
-def _expanded(kind: FamilyKind, N: int, method: str, nmax: int) -> FamilyId:
-    """The family, once it has the expansion ``method`` and nmax is within
-    that route's cap."""
-    family = FamilyId(kind, N)
-    if kind not in _EULER_TYPES:
-        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
-    check_cap(kind, method, nmax)
-    return family
 
 
 def _spread(column: list[Fraction], stride: int, nmax: int) -> list[Fraction]:
@@ -107,7 +91,7 @@ def _power_chain(weights: Sequence[Fraction], half: int, kmax: int) -> list[list
 def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_n = n! sum_{k=1}^n (-1)^k C(n+1, k+1) [x^{n/s}] P^k with
     P = sum_j a_j x^j, every index read from one chain P^1..P^nmax."""
-    family = _expanded(kind, N, "binomial", nmax)
+    family = admit(kind, "binomial", N, nmax)
     s = family.spec.stride
     w = family.weights(nmax)
     powers = _power_chain(w, len(w) - 1, nmax)
@@ -175,7 +159,7 @@ _EXPANSIONS = {"explicit": _explicit_value, "trudi": _trudi_value}
 
 def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_0..v_nmax, each index by its own expansion."""
-    family = _expanded(kind, N, method, nmax)
+    family = admit(kind, method, N, nmax)
     s = family.spec.stride
     w = family.weights(nmax)
     expand = _EXPANSIONS[method]
@@ -222,21 +206,34 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     }
 
 
+def admit(kind: FamilyKind, method: str, N: int, nmax: int) -> FamilyId:
+    """The family (kind, N), once ``compute`` may run ``method`` on it up to
+    index nmax.  It refuses, in this order, a method the registry does not
+    list for the family, an N outside the family's range, and an nmax past
+    the cap of the route serving (kind, method)."""
+    if (kind, method) not in table_routes():
+        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
+    family = FamilyId(kind, N)
+    if kind in _EULER_TYPES and method in _CAPS:
+        terms, cap = _CAPS[method]
+        if nmax > cap:
+            raise InvalidParameter(f"index bound {nmax} exceeds the {terms}-route cap {cap}")
+    return family
+
+
 def value(kind: FamilyKind, method: str, N: int, n: int) -> Fraction:
     """v_n of the family (kind, N) by ``method``, once n is a positive
-    multiple of the stride.  The Euler types' explicit and Trudi methods
-    expand index n alone, and no other index is computed; every other method
-    reads v_n off its table route in :func:`table_routes`."""
-    route = table_routes().get((kind, method))
-    if route is None:
-        raise InvalidParameter(f"method {method} is not defined for {kind.value}")
+    multiple of the stride and :func:`admit` takes the request.  The Euler
+    types' explicit and Trudi methods expand index n alone, and no other
+    index is computed; every other method reads v_n off its table route in
+    :func:`table_routes`."""
     stride = SPECS[kind].stride
     if n < 1 or n % stride:
         raise InvalidParameter(f"index must be a positive multiple of {stride}, got {n}")
+    family = admit(kind, method, N, n)
     if kind in _EULER_TYPES and method in _EXPANSIONS:
-        family = _expanded(kind, N, method, n)
         return _EXPANSIONS[method](family.weights(n), stride, n // stride)
-    return route(kind, N, n)[n]
+    return table_routes()[kind, method](kind, N, n)[n]
 
 
 # The determinant of each family by name, as bench/make_reference.py reads it.

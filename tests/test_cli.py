@@ -202,7 +202,7 @@ class TestVerify:
             assert code == EXIT_OK, suite
             assert json.loads(out)["passed"]
 
-    def test_imaginary_part_fails_the_suite(self, capsys, monkeypatch):
+    def leak_an_imaginary_part(self, monkeypatch):
         real = identities.tangent_complex_sum
 
         def leaky(n):
@@ -210,12 +210,23 @@ class TestVerify:
             return (val[0], F(1, 5)) if n == 3 else val
 
         monkeypatch.setattr(identities, "tangent_complex_sum", leaky)
+
+    def test_imaginary_part_fails_the_suite(self, capsys, monkeypatch):
+        self.leak_an_imaginary_part(monkeypatch)
         code, out, err = run(capsys, "verify", "--suite", "tangent-complex", "--max-n", "5")
         assert code == EXIT_VERIFY_FAILED
         assert err.count("\n") == 1 and err.startswith("FAIL tangent-complex/tangent-complex")
         assert "Traceback" not in err
         failure = json.loads(out)["suites"][0]["first_failure"]
         assert failure == {"indices": ["imag", "3"], "lhs": "1/5", "rhs": "0/1"}
+
+    def test_failing_suite_without_stderr(self, capsys, monkeypatch):
+        # with no stderr the FAIL line is dropped, not written into the report
+        self.leak_an_imaginary_part(monkeypatch)
+        monkeypatch.setattr(sys, "stderr", None)
+        code, out, _ = run(capsys, "verify", "--suite", "tangent-complex", "--max-n", "5")
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(out)["passed"] is False
 
 
 # One request of each subcommand that writes a result.
@@ -402,6 +413,22 @@ class TestRejectedInput:
         proc = run_cli_process(WRITING_COMMANDS[command], preexec_fn=lambda: os.close(1))
         assert proc.returncode == EXIT_INVALID
         assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--family", "nope", "--N", "1", "--max-n", "4"],
+            ["compute", "--family", "hg-euler", "--N", "1", "--max-n", "4", "--out", "{missing}"],
+            ["verify", "--suite", "nope"],
+        ],
+    )
+    def test_closed_stderr(self, tmp_path, argv):
+        # with fd 2 closed at startup Python sets sys.stderr to None; the error
+        # line is dropped and stdout stays empty
+        argv = [arg.format(missing=tmp_path / "missing" / "out.csv") for arg in argv]
+        proc = run_cli_process(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stdout == ""
 
     def test_explicit_at_composition_cap(self, capsys):
         code, out, _ = run(

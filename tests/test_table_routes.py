@@ -9,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgnum import closed_forms, exact, linalg
+from hgnum import cli, closed_forms, exact, linalg
 from hgnum.closed_forms import (
     BINOMIAL_CAP,
     COMPOSITION_CAP,
     PARTITION_CAP,
-    check_cap,
+    admit,
     table_binomial,
     table_explicit,
     table_routes,
@@ -22,7 +22,7 @@ from hgnum.closed_forms import (
     value,
 )
 from hgnum.exact import InvalidParameter
-from hgnum.families import SPECS, FamilyId, FamilyKind, table
+from hgnum.families import MAX_N, SPECS, FamilyId, FamilyKind, table
 from helpers import EULER_KINDS
 
 # Composition-route enumeration doubles with every second index.
@@ -109,6 +109,13 @@ def test_trudi_cap():
     assert value(FamilyKind.HG_EULER, "trudi", 0, 8) == F(1385)
 
 
+def test_trudi_expands_the_reciprocal_families_too():
+    # admit takes (kind, "trudi") for every family, so a direct call expands
+    # hg-bernoulli and hg-cauchy, whose registered trudi route is table_det
+    for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
+        assert table_trudi(kind, 2, 12) == table_routes()[kind, "trudi"](kind, 2, 12)
+
+
 def test_binomial_cap():
     for kind in EULER_KINDS:
         with pytest.raises(InvalidParameter, match=f"binomial-route cap {BINOMIAL_CAP}$"):
@@ -121,18 +128,64 @@ def test_binomial_cap():
     assert table_binomial(FamilyKind.HG_EULER, 0, 6)[6] == F(-61)
 
 
-def test_check_cap_follows_the_registry():
-    caps = {"explicit": COMPOSITION_CAP, "binomial": BINOMIAL_CAP, "trudi": PARTITION_CAP}
-    for kind in EULER_KINDS:
-        for method, cap in caps.items():
-            check_cap(kind, method, cap)
-            with pytest.raises(InvalidParameter, match=f"cap {cap}$"):
-                check_cap(kind, method, cap + 1)
-        check_cap(kind, "det", 10**6)
-    # the reciprocal families' trudi is their determinant route, which has no cap
-    for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
-        for method in ("det", "trudi", "recurrence", "series"):
-            check_cap(kind, method, 10**6)
+CAPS = {"explicit": COMPOSITION_CAP, "binomial": BINOMIAL_CAP, "trudi": PARTITION_CAP}
+
+
+def refusal_cases():
+    """(kind, method, N, nmax) for every refusal of :func:`admit`: a method
+    the registry does not list for the family, N one below the family's least
+    N and one above MAX_N, and nmax one past each cap."""
+    routes = table_routes()
+    for kind in FamilyKind:
+        least = SPECS[kind].least_N
+        for method in cli._METHODS + ("nosuch",):
+            if (kind, method) not in routes:
+                yield kind, method, least, 4
+                continue
+            yield kind, method, least - 1, 4
+            yield kind, method, MAX_N + 1, 4
+            if kind in EULER_KINDS and method in CAPS:
+                yield kind, method, least, CAPS[method] + 1
+
+
+def refusal(call, *args):
+    with pytest.raises(InvalidParameter) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "kind, method, N, nmax",
+    list(refusal_cases()),
+    ids=lambda arg: getattr(arg, "value", str(arg)),
+)
+def test_every_refusal_has_one_message(capsys, kind, method, N, nmax):
+    """admit, the route serving the pair, value and ``hgnum compute`` refuse
+    each request with admit's message."""
+    message = refusal(admit, kind, method, N, nmax)
+    route = table_routes().get((kind, method))
+    if route is not None:
+        assert refusal(route, kind, N, nmax) == message
+    # value takes the least valid index at or past nmax
+    stride = SPECS[kind].stride
+    n = -(-nmax // stride) * stride
+    assert refusal(value, kind, method, N, n) == refusal(admit, kind, method, N, n)
+    if method in cli._METHODS:
+        argv = ["compute", "--family", kind.value, "--N", str(N), "--max-n", str(nmax),
+                "--method", method]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_admit_up_to_each_cap():
+    # det, recurrence, series and the reciprocal families' trudi (their
+    # determinant route) have no cap
+    for (kind, method) in table_routes():
+        least = SPECS[kind].least_N
+        bound = CAPS[method] if kind in EULER_KINDS and method in CAPS else 10**6
+        assert admit(kind, method, least, bound) == FamilyId(kind, least)
+        assert admit(kind, method, MAX_N, bound) == FamilyId(kind, MAX_N)
 
 
 # A value index small enough for every route, the enumerating ones included.
@@ -199,9 +252,8 @@ def test_value_refusals(kind):
         for bad_N in {N - 1, -1}:
             refused(method, stride, f"{kind.value} needs N >= {N}, got {bad_N}", at_N=bad_N)
     if kind in EULER_KINDS:
-        caps = {"explicit": COMPOSITION_CAP, "binomial": BINOMIAL_CAP, "trudi": PARTITION_CAP}
         terms = {"explicit": "composition", "binomial": "binomial", "trudi": "partition"}
-        for method, cap in caps.items():
+        for method, cap in CAPS.items():
             refused(method, cap + 1, f"index must be a positive multiple of 2, got {cap + 1}")
             refused(
                 method,
@@ -210,7 +262,7 @@ def test_value_refusals(kind):
             )
         # the cap itself is allowed (the binomial one takes seconds)
         for method in ("explicit", "trudi"):
-            cap = caps[method]
+            cap = CAPS[method]
             assert value(kind, method, N, cap) == table(FamilyId(kind, N), cap)[cap]
     else:
         for method in ("explicit", "binomial"):
