@@ -90,8 +90,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _stderr(line: str) -> None:
-    """One line to stderr, dropped if there is none (fd 2 was closed when
-    Python started): ``print`` would otherwise put it on stdout."""
+    """One line to stderr; dropped if fd 2 was closed at start, as print would use stdout."""
     if sys.stderr is not None:
         print(line, file=sys.stderr)
 

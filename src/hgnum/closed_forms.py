@@ -22,12 +22,12 @@ determinant, once per composition sum and once per Trudi expansion.
 method must be in the registry for the family, N in the family's range and
 the index bound within the cap of the route serving the method.  The
 composition-sum route enumerates 2^{n/2 - 1} tuples for index n and is capped
-at n <= 30, the Euler-type Trudi route p(n/2) partitions and is capped at
-n <= 60, and the binomial route, a chain of n powers of a polynomial of
-degree n/2, is capped at n <= 200.  :func:`value` is the one per-index entry
-point: ``value(kind, method, N, n)`` checks the index n and admits the
-request.  The Euler types' explicit and Trudi methods expand index n alone;
-every other method reads it off its table route.
+at n <= 30, the Trudi route p(n/2) partitions and is capped at n <= 60 (it
+refuses hg-bernoulli and hg-cauchy, whose ``trudi`` the det route serves),
+and the binomial route, a chain of n powers of a polynomial of degree n/2,
+is capped at n <= 200.  :func:`value` is the one per-index entry point: it
+checks the index n, admits the request, and expands index n alone for the
+Euler types' explicit and Trudi methods.
 """
 
 from __future__ import annotations
@@ -96,13 +96,8 @@ def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     w = family.weights(nmax)
     powers = _power_chain(w, len(w) - 1, nmax)
     column = [ONE] + [
-        factorial(s * m) * sum(
-            (
-                (-1) ** k * math.comb(s * m + 1, k + 1) * powers[k][m]
-                for k in range(1, s * m + 1)
-            ),
-            ZERO,
-        )
+        factorial(s * m)
+        * sum((-1) ** k * math.comb(s * m + 1, k + 1) * powers[k][m] for k in range(1, s * m + 1))
         for m in range(1, len(w))
     ]
     return _spread(column, s, nmax)
@@ -160,6 +155,8 @@ _EXPANSIONS = {"explicit": _explicit_value, "trudi": _trudi_value}
 def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_0..v_nmax, each index by its own expansion."""
     family = admit(kind, method, N, nmax)
+    if kind not in _EULER_TYPES:  # admitted, as the det route serves their trudi
+        raise InvalidParameter(f"{kind.value} has no {method} expansion")
     s = family.spec.stride
     w = family.weights(nmax)
     expand = _EXPANSIONS[method]
@@ -206,12 +203,16 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     }
 
 
+# The registry's pairs, fixed whatever wraps its routes.
+_PAIRS = frozenset(table_routes())
+
+
 def admit(kind: FamilyKind, method: str, N: int, nmax: int) -> FamilyId:
     """The family (kind, N), once ``compute`` may run ``method`` on it up to
     index nmax.  It refuses, in this order, a method the registry does not
     list for the family, an N outside the family's range, and an nmax past
     the cap of the route serving (kind, method)."""
-    if (kind, method) not in table_routes():
+    if (kind, method) not in _PAIRS:
         raise InvalidParameter(f"method {method} is not defined for {kind.value}")
     family = FamilyId(kind, N)
     if kind in _EULER_TYPES and method in _CAPS:

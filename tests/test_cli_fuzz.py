@@ -2,17 +2,17 @@
 ``table1`` and ``verify`` over every family, method and suite (and unknown
 ones), N and ``--max-n`` at and around each bound, and malformed values.
 
-Admitted requests are kept at ``--max-n`` <= 24 so that each runs in well
-under a second; refused ones must be refused in under a second whatever
+The input space is small, so every argument list in it is run.  Admitted
+requests with ``--max-n`` above 24 are skipped so that each one that runs takes
+well under a second; refused ones must be refused in under a second whatever
 their size.
 """
 
 import contextlib
+import functools
 import io
+import itertools
 import time
-
-from hypothesis import HealthCheck, assume, event, given, settings
-from hypothesis import strategies as st
 
 from hgnum import cli, closed_forms
 from hgnum.exact import InvalidParameter
@@ -53,44 +53,42 @@ def verify_admits(suite, max_n):
     return all(0 <= max_n <= cli.SUITE_BOUND_FACTOR * d for d in defaults)
 
 
-@st.composite
-def argvs(draw):
-    command = draw(st.sampled_from(["compute", "table1", "verify"]))
-    max_n = draw(st.sampled_from(MAX_NS + [MISSING]))
-    if command == "compute":
-        family = draw(st.sampled_from(FAMILIES))
-        method = draw(st.sampled_from(METHODS))
-        N = draw(st.sampled_from(NS))
+def argvs():
+    """(argv, whether it would be admitted at an int ``--max-n``) for every
+    argument list of the input space."""
+    for family, method, N in itertools.product(FAMILIES, METHODS, NS):
         argv = ["compute", "--family", family, "--N", N, "--method", method]
-        admits = lambda m: compute_admits(family, method, N, m)
-    elif command == "verify":
-        suite = draw(st.sampled_from(SUITES))
-        argv = ["verify", "--suite", suite]
-        admits = lambda m: verify_admits(suite, m)
-    else:
-        argv = ["table1"]
-        admits = lambda m: False  # table1 takes no --max-n
-    if max_n is MISSING:
-        return argv + ["--max-n"]
-    if max_n.lstrip("-").isdigit() and int(max_n) > ADMITTED_MAX_N:
-        assume(not admits(int(max_n)))
-    if command == "table1" and draw(st.booleans()):
-        return argv
-    return argv + ["--max-n", max_n]
+        yield argv, functools.partial(compute_admits, family, method, N)
+    for suite in SUITES:
+        yield ["verify", "--suite", suite], functools.partial(verify_admits, suite)
+    yield ["table1"], lambda m: False  # table1 takes no --max-n
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_every_argv_ends_in_an_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    elapsed = time.perf_counter() - t0
-    event(f"exit {code}")
-    assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_MISMATCH, cli.EXIT_VERIFY_FAILED)
-    assert "Traceback" not in err.getvalue()
-    if code == cli.EXIT_INVALID:
-        assert out.getvalue() == ""
-        assert err.getvalue().count("\n") <= 1 and err.getvalue().startswith("error: ")
-        assert elapsed < 1, (argv, elapsed)
+def cases():
+    for argv, admits in argvs():
+        if argv == ["table1"]:
+            yield argv
+        yield argv + ["--max-n"]
+        for max_n in MAX_NS:
+            if max_n.lstrip("-").isdigit() and int(max_n) > ADMITTED_MAX_N and admits(int(max_n)):
+                continue
+            yield argv + ["--max-n", max_n]
+
+
+def test_every_argv_ends_in_an_exit_code():
+    codes = {cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_MISMATCH, cli.EXIT_VERIFY_FAILED}
+    ran = 0
+    for argv in cases():
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+        assert code in codes, argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == cli.EXIT_INVALID:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().count("\n") <= 1 and err.getvalue().startswith("error: "), argv
+            assert elapsed < 1, (argv, elapsed)
+        ran += 1
+    assert ran > 3000

@@ -109,11 +109,15 @@ def test_trudi_cap():
     assert value(FamilyKind.HG_EULER, "trudi", 0, 8) == F(1385)
 
 
-def test_trudi_expands_the_reciprocal_families_too():
-    # admit takes (kind, "trudi") for every family, so a direct call expands
-    # hg-bernoulli and hg-cauchy, whose registered trudi route is table_det
+def test_trudi_expansion_refuses_the_reciprocal_families():
+    # admit takes their trudi, which the det route serves, so the expansion
+    # route refuses them itself, at any bound (p(100) partitions at n = 100)
     for kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY):
-        assert table_trudi(kind, 2, 12) == table_routes()[kind, "trudi"](kind, 2, 12)
+        least = SPECS[kind].least_N
+        for nmax in (12, 100):
+            with pytest.raises(InvalidParameter, match=f"^{kind.value} has no trudi expansion$"):
+                table_trudi(kind, least, nmax)
+        assert refusal(table_trudi, kind, least - 1, 4) == refusal(admit, kind, "trudi", least - 1, 4)
 
 
 def test_binomial_cap():
