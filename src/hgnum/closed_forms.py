@@ -155,7 +155,7 @@ _EXPANSIONS = {"explicit": _explicit_value, "trudi": _trudi_value}
 def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_0..v_nmax, each index by its own expansion."""
     family = admit(kind, method, N, nmax)
-    if kind not in _EULER_TYPES:  # admitted, as the det route serves their trudi
+    if kind not in _EULER_TYPES:  # admit takes their trudi, which the det route serves
         raise InvalidParameter(f"{kind.value} has no {method} expansion")
     s = family.spec.stride
     w = family.weights(nmax)
