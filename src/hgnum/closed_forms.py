@@ -26,8 +26,7 @@ at n <= 30, the Trudi route p(n/2) partitions and is capped at n <= 60 (it
 refuses hg-bernoulli and hg-cauchy, whose ``trudi`` the det route serves),
 and the binomial route, a chain of n powers of a polynomial of degree n/2,
 is capped at n <= 200.  :func:`value` is the one per-index entry point: it
-checks the index n, admits the request, and expands index n alone for the
-Euler types' explicit and Trudi methods.
+checks the index n, admits the request and reads v_n off the route's table.
 """
 
 from __future__ import annotations
@@ -223,17 +222,13 @@ def admit(kind: FamilyKind, method: str, N: int, nmax: int) -> FamilyId:
 
 
 def value(kind: FamilyKind, method: str, N: int, n: int) -> Fraction:
-    """v_n of the family (kind, N) by ``method``, once n is a positive
-    multiple of the stride and :func:`admit` takes the request.  The Euler
-    types' explicit and Trudi methods expand index n alone, and no other
-    index is computed; every other method reads v_n off its table route in
-    :func:`table_routes`."""
+    """v_n of the family (kind, N) by ``method``, read off its table route in
+    :func:`table_routes`, once n is a positive multiple of the stride and
+    :func:`admit` takes the request."""
     stride = SPECS[kind].stride
     if n < 1 or n % stride:
         raise InvalidParameter(f"index must be a positive multiple of {stride}, got {n}")
-    family = admit(kind, method, N, n)
-    if kind in _EULER_TYPES and method in _EXPANSIONS:
-        return _EXPANSIONS[method](family.weights(n), stride, n // stride)
+    admit(kind, method, N, n)
     return table_routes()[kind, method](kind, N, n)[n]
 
 
@@ -254,26 +249,3 @@ def hg_bernoulli_det(N: int, n: int) -> Fraction:
 def hg_cauchy_det(N: int, n: int) -> Fraction:
     """(-1)^n n! times the determinant with entries (-1)^k N/(N+k)."""
     return value(FamilyKind.HG_CAUCHY, "det", N, n)
-
-
-def inverse_pair_check(kind: FamilyKind, N: int, n: int) -> bool:
-    """The matrix-inverse pairing: applying the inversion lemma to the column
-    of signed numbers (-1)^k v_{sk}/(sk)! must reproduce the family's weights
-    a_1..a_n entrywise, at stride 2 and at stride 1 alike.
-
-    The lemma pairs a column alpha_1..alpha_n with R(1)..R(n), defined by the
-    alternating relation
-
-        sum_{k=0}^n (-1)^{n-k} alpha_k R(n-k) = 0   (n >= 1),
-
-    with alpha_0 = R(0) = 1, which makes R(n) the Hessenberg determinant of
-    alpha_1..alpha_n.  The pairing is an involution, and the matrix with
-    column (-1)^k alpha_k has inverse with column (-1)^k R(k).
-    """
-    family = FamilyId(kind, N)
-    if n < 1:
-        raise InvalidParameter(f"n must be positive, got {n}")
-    s = family.spec.stride
-    tab = table(family, s * n)
-    signed = [(-1) ** k * tab[s * k] / factorial(s * k) for k in range(1, n + 1)]
-    return hessenberg_det_prefixes(signed)[1:] == family.weights(s * n)[1:]

@@ -167,81 +167,3 @@ def table(family: FamilyId, nmax: int) -> NumberTable:
         while len(_memo) > MEMO_FAMILIES:
             _memo.popitem(last=False)
     return NumberTable(family, values)
-
-
-def hg_euler_recurrence(N: int, nmax: int) -> NumberTable:
-    """Convolution recurrence for the main family; odd entries are zero."""
-    return table(FamilyId(FamilyKind.HG_EULER, N), nmax)
-
-
-def comp_hg_euler_recurrence(N: int, nmax: int) -> NumberTable:
-    """Convolution recurrence for the complementary family; odd entries are zero."""
-    return table(FamilyId(FamilyKind.COMP_HG_EULER, N), nmax)
-
-
-def hg_bernoulli(N: int, nmax: int) -> NumberTable:
-    return table(FamilyId(FamilyKind.HG_BERNOULLI, N), nmax)
-
-
-def hg_cauchy(N: int, nmax: int) -> NumberTable:
-    return table(FamilyId(FamilyKind.HG_CAUCHY, N), nmax)
-
-
-def closed_small(kind: FamilyKind, N: int, k: int) -> Fraction:
-    """The printed closed-form polynomials in N for indices 2, 4, 6, 8."""
-    if k not in (2, 4, 6, 8):
-        raise InvalidParameter(f"closed forms exist only for k in 2,4,6,8, got {k}")
-    n = Fraction(N)
-    if kind is FamilyKind.HG_EULER:
-        if N < 0:
-            raise InvalidParameter(f"N must be nonnegative, got {N}")
-        if k == 2:
-            return -2 / ((2 * n + 1) * (2 * n + 2))
-        if k == 4:
-            return (
-                2 * factorial(4) * (4 * n + 5)
-                / ((2 * n + 1) ** 2 * (2 * n + 2) ** 2 * (2 * n + 3) * (2 * n + 4))
-            )
-        if k == 6:
-            return (
-                4 * factorial(6) * (8 * n**3 - 2 * n**2 - 65 * n - 61)
-                / (
-                    (2 * n + 1) ** 3 * (2 * n + 2) ** 3
-                    * (2 * n + 3) * (2 * n + 4) * (2 * n + 5) * (2 * n + 6)
-                )
-            )
-        return (
-            16 * factorial(8)
-            * (16 * n**6 - 44 * n**5 - 516 * n**4 - 667 * n**3 + 1283 * n**2 + 3126 * n + 1662)
-            / (
-                (2 * n + 1) ** 4 * (2 * n + 2) ** 4 * (2 * n + 3) ** 2 * (2 * n + 4) ** 2
-                * (2 * n + 6) * (2 * n + 7) * (2 * n + 8)
-            )
-        )
-    if kind is FamilyKind.COMP_HG_EULER:
-        if N < 0:
-            raise InvalidParameter(f"N must be nonnegative, got {N}")
-        if k == 2:
-            return -2 / ((2 * n + 2) * (2 * n + 3))
-        if k == 4:
-            return (
-                2 * factorial(4) * (4 * n + 7)
-                / ((2 * n + 2) ** 2 * (2 * n + 3) ** 2 * (2 * n + 4) * (2 * n + 5))
-            )
-        if k == 6:
-            return (
-                4 * factorial(6) * (8 * n**3 + 10 * n**2 - 61 * n - 93)
-                / (
-                    (2 * n + 2) ** 3 * (2 * n + 3) ** 3
-                    * (2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7)
-                )
-            )
-        return (
-            8 * factorial(8)
-            * (32 * n**6 + 8 * n**5 - 1132 * n**4 - 3538 * n**3 - 1063 * n**2 + 7280 * n + 6858)
-            / (
-                (2 * n + 2) ** 4 * (2 * n + 3) ** 4 * (2 * n + 4) ** 2 * (2 * n + 5) ** 2
-                * (2 * n + 7) * (2 * n + 8) * (2 * n + 9)
-            )
-        )
-    raise InvalidParameter(f"no small closed forms for {kind.value}")

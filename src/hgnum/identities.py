@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import InvalidParameter, ZERO, convolve, factorial, numerators
-from .families import comp_hg_euler_recurrence, hg_bernoulli, hg_euler_recurrence
+from .families import FamilyId, FamilyKind, table
 from .series import (
     TruncatedSeries,
     gen_cos,
@@ -62,9 +62,20 @@ def _first_mismatch(
     return _report(identity_id, range_checked, None)
 
 
+def _ladder(w: int, nmax: int) -> tuple[Fraction, ...]:
+    """The numbers of 1/F_w, F_w = sum w!/(w+2j)! t^{2j}: E_N for w = 2N and
+    Ehat_N for w = 2N+1."""
+    kind = FamilyKind.COMP_HG_EULER if w % 2 else FamilyKind.HG_EULER
+    return table(FamilyId(kind, w // 2), nmax).values
+
+
+# B_n: the hypergeometric Bernoulli numbers at N = 1
+_BERNOULLI = FamilyId(FamilyKind.HG_BERNOULLI, 1)
+
+
 def check_euler_pair_sum(nmax: int) -> IdentityReport:
     """sum_i C(2n, 2i) E_{2i} = 0 for 1 <= n <= nmax."""
-    e = hg_euler_recurrence(0, 2 * nmax).values
+    e = _ladder(0, 2 * nmax)
     # the EGF product of the even part of E with e^t, read at the even indices
     even = [v if i % 2 == 0 else ZERO for i, v in enumerate(e)]
     sums = convolve(even, [1] * (2 * nmax + 1), 2 * nmax, egf=True)
@@ -75,15 +86,15 @@ def check_euler_pair_sum(nmax: int) -> IdentityReport:
 
 def check_E1_bernoulli(nmax: int) -> IdentityReport:
     """E_{1,n} = -(n-1) B_n for 1 <= n <= nmax."""
-    e1 = hg_euler_recurrence(1, nmax).values
-    b = hg_bernoulli(1, nmax)
+    e1 = _ladder(2, nmax)
+    b = table(_BERNOULLI, nmax)
     rhs = [-(n - 1) * b[n] for n in range(nmax + 1)]
     return _first_mismatch("e1-bernoulli", f"1 <= n <= {nmax}", e1, rhs, first=1)
 
 
 def check_bernoulli_lemma(nmax: int) -> IdentityReport:
     """sum_i (i-1) B_i / ((n-i+2)! i!) is 0 for even n and -B_{n+1}/n! for odd n."""
-    b = hg_bernoulli(1, nmax + 1)
+    b = table(_BERNOULLI, nmax + 1)
     lhs = convolve(
         [b[i] / math.factorial(i) for i in range(nmax + 1)],
         [Fraction(1, math.factorial(j + 2)) for j in range(nmax + 1)],
@@ -97,13 +108,13 @@ def check_bernoulli_lemma(nmax: int) -> IdentityReport:
 def y2_column(N: int, nmax: int) -> list[Fraction]:
     """Pair sums of products y2(N, n) = sum_i C(2n, 2i) E_{N,2i} E_{N,2n-2i}
     for 0 <= n <= nmax, all from one table and one EGF square."""
-    e = hg_euler_recurrence(N, 2 * nmax).values
+    e = _ladder(2 * N, 2 * nmax)
     return convolve(e, e, 2 * nmax, egf=True)[::2]
 
 
 def check_tangent_closed_form(nmax: int) -> IdentityReport:
     """y2(0, n) = 2^{2n+2} (2^{2n+2} - 1) B_{2n+2} / (2n+2) for 0 <= n <= nmax."""
-    b = hg_bernoulli(1, 2 * nmax + 2)
+    b = table(_BERNOULLI, 2 * nmax + 2)
     rhs = []
     for n in range(nmax + 1):
         p = 2 ** (2 * n + 2)
@@ -159,13 +170,6 @@ def _index_weight(offset: int, nmax: int) -> list[int]:
     return [offset - k for k in range(nmax + 1)]
 
 
-def _ladder(w: int, nmax: int) -> tuple[Fraction, ...]:
-    """The numbers of 1/F_w, F_w = sum w!/(w+2j)! t^{2j}: E_N for w = 2N and
-    Ehat_N for w = 2N+1."""
-    recurrence = comp_hg_euler_recurrence if w % 2 else hg_euler_recurrence
-    return recurrence(w // 2, nmax).values
-
-
 def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
     """sum C(n,i) x_i x_{n-i} = sum C(n,k) (w-k)/w x_k y_{n-k}, with x and y
     the numbers of 1/F_w and 1/F_{w-1}."""
@@ -192,11 +196,6 @@ def check_sumprod_pair_comp(N: int, nmax: int) -> IdentityReport:
 def _egf_cube(values: Sequence[Fraction], nmax: int) -> list[Fraction]:
     # n! [t^n] (sum v_i t^i / i!)^3 for n = 0..nmax
     return convolve(convolve(values, values, nmax, egf=True), values, nmax, egf=True)
-
-
-def trinomial_convolution(values: Sequence[Fraction], n: int) -> Fraction:
-    """sum over i1+i2+i3 = n of n!/(i1! i2! i3!) v_{i1} v_{i2} v_{i3}."""
-    return _egf_cube(values, n)[n]
 
 
 def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
@@ -297,8 +296,8 @@ def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
         yield _first_scaled_diff(f"cosh-expansion(k={k})", fk[k], ht, cosh, [1] * len(ht))
     # 1/F and 1/F* are the EGFs of the hg-euler(N) and comp-hg-euler(N-1)
     # tables: F* is comp-hg-euler(N-1)'s denominator.
-    inv_f = TruncatedSeries.from_egf(hg_euler_recurrence(N, M).values)
-    inv_fstar = TruncatedSeries.from_egf(comp_hg_euler_recurrence(N - 1, M).values)
+    inv_f = TruncatedSeries.from_egf(_ladder(2 * N, M))
+    inv_fstar = TruncatedSeries.from_egf(_ladder(2 * N - 1, M))
     # F' = -F^2 (1/F)'
     yield _first_diff("reciprocal-derivative", f.derivative(), -(f * f * inv_f.derivative()), M - 1)
     # 1/F^2 = (1/F*) (1/F - t/(2N) (1/F)')

@@ -77,4 +77,3 @@ def trudi_expand(entries: Sequence[Fraction]) -> Fraction:
     # (-1)^{m-r} / A^r = (-A)^{m-r} / A^m
     total = sum(s * (-den) ** (m - r) for r, s in enumerate(by_parts) if s)
     return Fraction(total, den**m)
-

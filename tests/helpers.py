@@ -1,17 +1,16 @@
 """Helpers and oracles that only the tests use: the package has no caller for
-any of them."""
+any of them.  Among them are two checks of the paper's results that no CLI
+command runs: its printed closed forms of E_{N,k} and Ehat_{N,k} for k = 2, 4,
+6, 8 (``closed_small``, criterion 2) and the matrix-inverse pairing of each
+family's numbers with its weights (``inverse_pair_check``, criterion 9)."""
 
 import math
 from fractions import Fraction as F
 
-from hgnum.exact import compositions
-from hgnum.families import (
-    SPECS,
-    FamilyKind,
-    comp_hg_euler_recurrence,
-    hg_euler_recurrence,
-)
+from hgnum.exact import InvalidParameter, compositions, factorial
+from hgnum.families import SPECS, FamilyId, FamilyKind, table
 from hgnum.identities import FailureWitness, IdentityReport
+from hgnum.linalg import hessenberg_det_prefixes
 from hgnum.series import TruncatedSeries, gen_cosh, gen_f, gen_fk, gen_fstar
 
 EULER_KINDS = tuple(kind for kind in FamilyKind if SPECS[kind].stride == 2)
@@ -80,8 +79,8 @@ def series_identities_oracle(N, M):
     same order, with the divided-power derivative summed term by term."""
     f = gen_f(N, M)
     fstar = gen_fstar(N, M)
-    inv_f = TruncatedSeries.from_egf(hg_euler_recurrence(N, M).values)
-    inv_fstar = TruncatedSeries.from_egf(comp_hg_euler_recurrence(N - 1, M).values)
+    inv_f = TruncatedSeries.from_egf(table(FamilyId(FamilyKind.HG_EULER, N), M).values)
+    inv_fstar = TruncatedSeries.from_egf(table(FamilyId(FamilyKind.COMP_HG_EULER, N - 1), M).values)
     checks = [
         ("scaled-derivative", f.scale(2 * N) + f.derivative().times_t(), fstar.scale(2 * N), M - 1)
     ]
@@ -160,3 +159,86 @@ def numbers_mod_p(family, N, nmax):
 def residue(v):
     assert v.denominator % P
     return v.numerator * inverse(v.denominator) % P
+
+
+def closed_small(kind, N, k):
+    """The printed closed-form polynomials in N for indices 2, 4, 6, 8."""
+    if k not in (2, 4, 6, 8):
+        raise InvalidParameter(f"closed forms exist only for k in 2,4,6,8, got {k}")
+    n = F(N)
+    if kind is FamilyKind.HG_EULER:
+        if N < 0:
+            raise InvalidParameter(f"N must be nonnegative, got {N}")
+        if k == 2:
+            return -2 / ((2 * n + 1) * (2 * n + 2))
+        if k == 4:
+            return (
+                2 * factorial(4) * (4 * n + 5)
+                / ((2 * n + 1) ** 2 * (2 * n + 2) ** 2 * (2 * n + 3) * (2 * n + 4))
+            )
+        if k == 6:
+            return (
+                4 * factorial(6) * (8 * n**3 - 2 * n**2 - 65 * n - 61)
+                / (
+                    (2 * n + 1) ** 3 * (2 * n + 2) ** 3
+                    * (2 * n + 3) * (2 * n + 4) * (2 * n + 5) * (2 * n + 6)
+                )
+            )
+        return (
+            16 * factorial(8)
+            * (16 * n**6 - 44 * n**5 - 516 * n**4 - 667 * n**3 + 1283 * n**2 + 3126 * n + 1662)
+            / (
+                (2 * n + 1) ** 4 * (2 * n + 2) ** 4 * (2 * n + 3) ** 2 * (2 * n + 4) ** 2
+                * (2 * n + 6) * (2 * n + 7) * (2 * n + 8)
+            )
+        )
+    if kind is FamilyKind.COMP_HG_EULER:
+        if N < 0:
+            raise InvalidParameter(f"N must be nonnegative, got {N}")
+        if k == 2:
+            return -2 / ((2 * n + 2) * (2 * n + 3))
+        if k == 4:
+            return (
+                2 * factorial(4) * (4 * n + 7)
+                / ((2 * n + 2) ** 2 * (2 * n + 3) ** 2 * (2 * n + 4) * (2 * n + 5))
+            )
+        if k == 6:
+            return (
+                4 * factorial(6) * (8 * n**3 + 10 * n**2 - 61 * n - 93)
+                / (
+                    (2 * n + 2) ** 3 * (2 * n + 3) ** 3
+                    * (2 * n + 4) * (2 * n + 5) * (2 * n + 6) * (2 * n + 7)
+                )
+            )
+        return (
+            8 * factorial(8)
+            * (32 * n**6 + 8 * n**5 - 1132 * n**4 - 3538 * n**3 - 1063 * n**2 + 7280 * n + 6858)
+            / (
+                (2 * n + 2) ** 4 * (2 * n + 3) ** 4 * (2 * n + 4) ** 2 * (2 * n + 5) ** 2
+                * (2 * n + 7) * (2 * n + 8) * (2 * n + 9)
+            )
+        )
+    raise InvalidParameter(f"no small closed forms for {kind.value}")
+
+
+def inverse_pair_check(kind, N, n):
+    """The matrix-inverse pairing: applying the inversion lemma to the column
+    of signed numbers (-1)^k v_{sk}/(sk)! must reproduce the family's weights
+    a_1..a_n entrywise, at stride 2 and at stride 1 alike.
+
+    The lemma pairs a column alpha_1..alpha_n with R(1)..R(n), defined by the
+    alternating relation
+
+        sum_{k=0}^n (-1)^{n-k} alpha_k R(n-k) = 0   (n >= 1),
+
+    with alpha_0 = R(0) = 1, which makes R(n) the Hessenberg determinant of
+    alpha_1..alpha_n.  The pairing is an involution, and the matrix with
+    column (-1)^k alpha_k has inverse with column (-1)^k R(k).
+    """
+    family = FamilyId(kind, N)
+    if n < 1:
+        raise InvalidParameter(f"n must be positive, got {n}")
+    s = family.spec.stride
+    tab = table(family, s * n)
+    signed = [(-1) ** k * tab[s * k] / factorial(s * k) for k in range(1, n + 1)]
+    return hessenberg_det_prefixes(signed)[1:] == family.weights(s * n)[1:]

@@ -9,18 +9,9 @@ import random
 import time
 from fractions import Fraction as F
 
-from hgnum.closed_forms import inverse_pair_check, value
+from hgnum.closed_forms import table_routes, value
 from hgnum.exact import binomial, compositions, factorial
-from hgnum.families import (
-    FamilyId,
-    FamilyKind,
-    closed_small,
-    comp_hg_euler_recurrence,
-    hg_bernoulli,
-    hg_cauchy,
-    hg_euler_recurrence,
-    via_series,
-)
+from hgnum.families import FamilyId, FamilyKind, table, via_series
 from hgnum.goldens import TABLE1
 from hgnum.identities import (
     check_E1_bernoulli,
@@ -36,6 +27,13 @@ from hgnum.identities import (
 )
 from hgnum.linalg import hessenberg_det_prefixes
 from hgnum.series import TruncatedSeries
+
+from helpers import closed_small, inverse_pair_check
+
+EULER = FamilyKind.HG_EULER
+COMP = FamilyKind.COMP_HG_EULER
+BERNOULLI = FamilyKind.HG_BERNOULLI
+CAUCHY = FamilyKind.HG_CAUCHY
 
 
 def criterion(num, desc):
@@ -64,7 +62,7 @@ def test_criterion_1_table_reproduction():
         "trudi": functools.partial(value, FamilyKind.HG_EULER, "trudi"),
     }
     for N in range(7):
-        rec = hg_euler_recurrence(N, 14)
+        rec = table(FamilyId(EULER, N), 14)
         ser = via_series(FamilyId(FamilyKind.HG_EULER, N), 14)
         for n in range(0, 15, 2):
             want = TABLE1[(N, n)]
@@ -80,8 +78,8 @@ def test_criterion_1_table_reproduction():
 @criterion(2, "closed-form grid for indices 2..8, 0 <= N <= 20")
 def test_criterion_2_closed_form_grid():
     for N in range(21):
-        e = hg_euler_recurrence(N, 8)
-        ehat = comp_hg_euler_recurrence(N, 8)
+        e = table(FamilyId(EULER, N), 8)
+        ehat = table(FamilyId(COMP, N), 8)
         for k in (2, 4, 6, 8):
             got = closed_small(FamilyKind.HG_EULER, N, k)
             assert got == e[k], f"E closed form (N={N}, k={k}): ratio {got / e[k]}"
@@ -114,27 +112,16 @@ def test_criterion_4_tangent_numbers():
 @criterion(5, "five-way cross-algorithm agreement, both families, N <= 6")
 def test_criterion_5_five_way_agreement():
     start = time.perf_counter()
+    routes = table_routes()
     for N in range(7):
-        e = hg_euler_recurrence(N, 40)
-        es = via_series(FamilyId(FamilyKind.HG_EULER, N), 40)
-        ehat = comp_hg_euler_recurrence(N, 40)
-        ehs = via_series(FamilyId(FamilyKind.COMP_HG_EULER, N), 40)
-        assert e.values == es.values
-        assert ehat.values == ehs.values
-        for n in range(2, 41, 2):
-            assert value(FamilyKind.HG_EULER, "det", N, n) == e[n], ("det", N, n)
-            assert value(FamilyKind.HG_EULER, "trudi", N, n) == e[n], ("trudi", N, n)
-            assert value(FamilyKind.COMP_HG_EULER, "det", N, n) == ehat[n], ("comp det", N, n)
-            assert value(FamilyKind.COMP_HG_EULER, "trudi", N, n) == ehat[n], ("comp trudi", N, n)
-        for n in range(2, 31, 2):
-            assert value(FamilyKind.HG_EULER, "explicit", N, n) == e[n], ("explicit", N, n)
-            assert value(FamilyKind.HG_EULER, "binomial", N, n) == e[n], ("binomial", N, n)
-            assert (
-                value(FamilyKind.COMP_HG_EULER, "explicit", N, n) == ehat[n]
-            ), ("comp explicit", N, n)
-            assert (
-                value(FamilyKind.COMP_HG_EULER, "binomial", N, n) == ehat[n]
-            ), ("comp binomial", N, n)
+        for kind in (EULER, COMP):
+            rec = table(FamilyId(kind, N), 40)
+            assert rec.values == via_series(FamilyId(kind, N), 40).values, (kind, N)
+            # each route's whole column, up to the composition cap where it has one
+            for method, nmax in (("det", 40), ("trudi", 40), ("explicit", 30), ("binomial", 30)):
+                column = routes[kind, method](kind, N, nmax)
+                for n in range(2, nmax + 1, 2):
+                    assert column[n] == rec[n], (kind.value, method, N, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"took {elapsed:.2f}s"
 
@@ -160,15 +147,21 @@ def test_criterion_7_series_identities():
 
 
 def _random_series(rng, order=10):
-    return TruncatedSeries.from_coeffs(
-        [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
+    return TruncatedSeries(
+        tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1))
     )
 
 
 def _random_unit_series(rng, order=10):
     coeffs = [F(rng.randint(1, 9), rng.randint(1, 9))]
     coeffs += [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order)]
-    return TruncatedSeries.from_coeffs(coeffs)
+    return TruncatedSeries(tuple(coeffs))
+
+
+def _agree(a, b, upto=None):
+    """a and b agree up to the lower of their orders, and of ``upto`` if given."""
+    m = min(a.order, b.order, a.order if upto is None else upto)
+    return a.coeffs[: m + 1] == b.coeffs[: m + 1]
 
 
 def _ht_product_rule_holds(factors, n):
@@ -176,39 +169,45 @@ def _ht_product_rule_holds(factors, n):
     for f in factors[1:]:
         prod = prod * f
     lhs = prod.hasse_teichmuller(n)
+    # hts[i][p]: the p-th divided-power derivative of factor i
+    hts = [[f.hasse_teichmuller(p) for p in range(n + 1)] for f in factors]
     rhs = None
     for parts in compositions(n, 0, len(factors)):
-        term = factors[0].hasse_teichmuller(parts[0])
-        for f, p in zip(factors[1:], parts[1:]):
-            term = term * f.hasse_teichmuller(p)
+        term = hts[0][parts[0]]
+        for ht, p in zip(hts[1:], parts[1:]):
+            term = term * ht[p]
         rhs = term if rhs is None else rhs + term
-    return lhs.agrees_with(rhs)
+    return _agree(lhs, rhs)
 
 
 def _ht_quotient_rules_hold(f, n):
-    lhs = f.reciprocal().hasse_teichmuller(n)
+    inv = f.reciprocal()
+    lhs = inv.hasse_teichmuller(n)
     order = f.order
+    ht = [f.hasse_teichmuller(p) for p in range(n + 1)]
+    # inv_pows[k] = f^{-(k+1)}
+    inv_pows = [None, inv * inv]
+    for _ in range(2, n + 1):
+        inv_pows.append(inv_pows[-1] * inv)
     # strict-composition form
     rhs1 = TruncatedSeries.zero(order)
     for k in range(1, n + 1):
-        inv_pow = f.reciprocal().pow(k + 1)
         for parts in compositions(n, 1, k):
-            term = inv_pow
+            term = inv_pows[k]
             for p in parts:
-                term = term * f.hasse_teichmuller(p)
+                term = term * ht[p]
             rhs1 = rhs1 + term.scale((-1) ** k)
     # binomial-weighted weak-composition form
     rhs2 = TruncatedSeries.zero(order)
     for k in range(1, n + 1):
-        inv_pow = f.reciprocal().pow(k + 1)
         weight = F((-1) ** k) * binomial(n + 1, k + 1)
         for parts in compositions(n, 0, k):
-            term = inv_pow
+            term = inv_pows[k]
             for p in parts:
-                term = term * f.hasse_teichmuller(p)
+                term = term * ht[p]
             rhs2 = rhs2 + term.scale(weight)
     upto = order - n
-    return lhs.agrees_with(rhs1, upto=upto) and lhs.agrees_with(rhs2, upto=upto)
+    return _agree(lhs, rhs1, upto) and _agree(lhs, rhs2, upto)
 
 
 @criterion(8, "divided-power derivative product and quotient rules, 100 random series")
@@ -230,7 +229,7 @@ def test_criterion_9_inversion_suite():
             assert inverse_pair_check(kind, N, 15), (kind, N)
     # determinant duality on the actual number columns
     for N in range(5):
-        t = hg_euler_recurrence(N, 30)
+        t = table(FamilyId(EULER, N), 30)
         col = [t[2 * k] / factorial(2 * k) for k in range(1, 16)]
         back = hessenberg_det_prefixes(hessenberg_det_prefixes(col)[1:])[1:]
         assert list(back) == col, N
@@ -238,14 +237,14 @@ def test_criterion_9_inversion_suite():
         for m in range(1, 16):
             assert dets[m] == F((-1) ** m) * factorial(2 * N) / factorial(2 * N + 2 * m)
     # Bernoulli / Cauchy determinant expressions against their tables
-    b1 = hg_bernoulli(1, 12)
-    c1 = hg_cauchy(1, 12)
+    b1 = table(FamilyId(BERNOULLI, 1), 12)
+    c1 = table(FamilyId(CAUCHY, 1), 12)
     for n in range(1, 13):
         assert value(FamilyKind.HG_BERNOULLI, "det", 1, n) == b1[n]
         assert value(FamilyKind.HG_CAUCHY, "det", 1, n) == c1[n]
     for N in range(1, 5):
-        b = hg_bernoulli(N, 12)
-        c = hg_cauchy(N, 12)
+        b = table(FamilyId(BERNOULLI, N), 12)
+        c = table(FamilyId(CAUCHY, N), 12)
         for n in range(1, 13):
             assert value(FamilyKind.HG_BERNOULLI, "det", N, n) == b[n], (N, n)
             assert value(FamilyKind.HG_CAUCHY, "det", N, n) == c[n], (N, n)

@@ -2,16 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum.closed_forms import _power_chain, inverse_pair_check, value
+from hgnum.closed_forms import _power_chain, value
 from hgnum.exact import InvalidParameter, compositions, factorial
-from hgnum.families import (
-    FamilyId,
-    FamilyKind,
-    comp_hg_euler_recurrence,
-    hg_bernoulli,
-    hg_cauchy,
-    hg_euler_recurrence,
-)
+from hgnum.families import FamilyId, FamilyKind, table
+
+from helpers import inverse_pair_check
 
 EULER = FamilyKind.HG_EULER
 COMP = FamilyKind.COMP_HG_EULER
@@ -102,7 +97,7 @@ class TestComplementaryRoutes:
 
     def test_all_four_match_recurrence(self):
         for N in range(4):
-            t = comp_hg_euler_recurrence(N, 12)
+            t = table(FamilyId(COMP, N), 12)
             for n in range(2, 13, 2):
                 assert value(COMP, "explicit", N, n) == t[n]
                 assert value(COMP, "binomial", N, n) == t[n]
@@ -129,8 +124,8 @@ class TestBernoulliCauchyDets:
 
     def test_match_tables(self):
         for N in range(1, 5):
-            b = hg_bernoulli(N, 12)
-            c = hg_cauchy(N, 12)
+            b = table(FamilyId(BERNOULLI, N), 12)
+            c = table(FamilyId(CAUCHY, N), 12)
             for n in range(1, 13):
                 assert value(BERNOULLI, "det", N, n) == b[n]
                 assert value(CAUCHY, "det", N, n) == c[n]
@@ -176,7 +171,7 @@ class TestInversePairing:
 class TestFiveWayAgreementSmall:
     def test_main_family(self):
         for N in range(4):
-            t = hg_euler_recurrence(N, 12)
+            t = table(FamilyId(EULER, N), 12)
             for n in range(2, 13, 2):
                 assert value(EULER, "explicit", N, n) == t[n]
                 assert value(EULER, "binomial", N, n) == t[n]
@@ -190,7 +185,7 @@ class TestNumbersDeterminantInverse:
         from hgnum.linalg import hessenberg_det_prefixes
 
         for N in range(4):
-            t = hg_euler_recurrence(N, 30)
+            t = table(FamilyId(EULER, N), 30)
             col = [t[2 * k] / factorial(2 * k) for k in range(1, 16)]
             dets = hessenberg_det_prefixes(col)
             for m in range(1, 16):
@@ -201,7 +196,7 @@ class TestNumbersDeterminantInverse:
         from hgnum.linalg import hessenberg_det_prefixes
 
         for N in range(4):
-            t = comp_hg_euler_recurrence(N, 30)
+            t = table(FamilyId(COMP, N), 30)
             col = [t[2 * k] / factorial(2 * k) for k in range(1, 16)]
             dets = hessenberg_det_prefixes(col)
             for m in range(1, 16):

@@ -4,8 +4,8 @@ per-index Fraction loops they replaced.
 The ``reference_*`` functions below are those loops, kept here as oracles:
 each sums every term of its identity for each n on its own, in Fraction
 arithmetic, with ``exact.binomial`` and ``exact.factorial``.  They read their
-tables through the ``identities`` module, so a table patched there reaches
-the checker and its oracle alike.
+tables through ``identities.table``, so a table patched there reaches the
+checker and its oracle alike.
 """
 
 import math
@@ -17,9 +17,19 @@ from hypothesis import strategies as st
 
 from hgnum import identities
 from hgnum.exact import InvalidParameter, ZERO, binomial, convolve, factorial
-from hgnum.families import NumberTable
+from hgnum.families import FamilyId, FamilyKind, NumberTable
 from hgnum.identities import FailureWitness, IdentityReport
 from hgnum.series import TruncatedSeries
+
+
+EULER = FamilyKind.HG_EULER
+COMP = FamilyKind.COMP_HG_EULER
+BERNOULLI = FamilyKind.HG_BERNOULLI
+
+
+def numbers(kind, N, nmax):
+    """The table of (kind, N) up to nmax, as the checkers read it."""
+    return identities.table(FamilyId(kind, N), nmax)
 
 
 def naive_convolution(a, b, nmax, egf=False, weight=None, divisor=1):
@@ -45,7 +55,7 @@ def reference_report(identity_id, nmax, lhs_at, rhs_at):
 
 
 def reference_y2(N, n):
-    e = identities.hg_euler_recurrence(N, 2 * n)
+    e = numbers(EULER, N, 2 * n)
     return sum((binomial(2 * n, 2 * i) * e[2 * i] * e[2 * n - 2 * i] for i in range(n + 1)), ZERO)
 
 
@@ -66,8 +76,8 @@ def _pair_lhs(v):
 
 
 def reference_sumprod_pair(N, nmax):
-    e = identities.hg_euler_recurrence(N, nmax)
-    ehat = identities.comp_hg_euler_recurrence(N - 1, nmax)
+    e = numbers(EULER, N, nmax)
+    ehat = numbers(COMP, N - 1, nmax)
     return reference_report(
         f"sumprod-pair(N={N})", nmax, _pair_lhs(e),
         lambda n: sum(
@@ -78,8 +88,8 @@ def reference_sumprod_pair(N, nmax):
 
 
 def reference_sumprod_pair_comp(N, nmax):
-    e = identities.hg_euler_recurrence(N, nmax)
-    ehat = identities.comp_hg_euler_recurrence(N, nmax)
+    e = numbers(EULER, N, nmax)
+    ehat = numbers(COMP, N, nmax)
     return reference_report(
         f"sumprod-pair-comp(N={N})", nmax, _pair_lhs(ehat),
         lambda n: sum(
@@ -93,8 +103,8 @@ def reference_sumprod_pair_comp(N, nmax):
 
 
 def reference_sumprod_trinomial(N, nmax):
-    e = identities.hg_euler_recurrence(N, nmax)
-    ehat = identities.comp_hg_euler_recurrence(N - 1, nmax)
+    e = numbers(EULER, N, nmax)
+    ehat = numbers(COMP, N - 1, nmax)
 
     def rhs(n):
         total = ZERO
@@ -114,8 +124,8 @@ def reference_sumprod_trinomial(N, nmax):
 
 
 def reference_sumprod_trinomial_comp(N, nmax):
-    e = identities.hg_euler_recurrence(N, nmax)
-    ehat = identities.comp_hg_euler_recurrence(N, nmax)
+    e = numbers(EULER, N, nmax)
+    ehat = numbers(COMP, N, nmax)
 
     def rhs(n):
         total = ZERO
@@ -135,7 +145,7 @@ def reference_sumprod_trinomial_comp(N, nmax):
 
 
 def reference_tangent(nmax):
-    b = identities.hg_bernoulli(1, 2 * nmax + 2)
+    b = numbers(BERNOULLI, 1, 2 * nmax + 2)
     return reference_report(
         "tangent", nmax, lambda n: reference_y2(0, n),
         lambda n: F(4 ** (n + 1) * (4 ** (n + 1) - 1)) * b[2 * n + 2] / (2 * n + 2),
@@ -187,7 +197,7 @@ def reference_from_one(identity_id, nmax, lhs_at, rhs_at):
 
 
 def reference_euler_pair_sum(nmax):
-    e = identities.hg_euler_recurrence(0, 2 * nmax)
+    e = numbers(EULER, 0, 2 * nmax)
     return reference_from_one(
         "euler-pair-sum", nmax,
         lambda n: sum((binomial(2 * n, 2 * i) * e[2 * i] for i in range(n + 1)), ZERO),
@@ -196,7 +206,7 @@ def reference_euler_pair_sum(nmax):
 
 
 def reference_bernoulli_lemma(nmax):
-    b = identities.hg_bernoulli(1, nmax + 1)
+    b = numbers(BERNOULLI, 1, nmax + 1)
     return reference_from_one(
         "bernoulli-lemma", nmax,
         lambda n: sum(
@@ -219,12 +229,12 @@ TANGENT = [
     (identities.check_tan_maclaurin, reference_tan_maclaurin),
 ]
 
-# (checker, reference, the table it reads, that table's N, the indices the
-# identity does not read)
+# (checker, reference, the family of the table it reads, that table's N, the
+# indices the identity does not read)
 TABLE_SUMS = [
-    (identities.check_euler_pair_sum, reference_euler_pair_sum, "hg_euler_recurrence", 0,
+    (identities.check_euler_pair_sum, reference_euler_pair_sum, "hg-euler", 0,
      lambda i: i % 2 == 1),
-    (identities.check_bernoulli_lemma, reference_bernoulli_lemma, "hg_bernoulli", 1,
+    (identities.check_bernoulli_lemma, reference_bernoulli_lemma, "hg-bernoulli", 1,
      lambda i: i == 1),  # B_1 carries the weight 1 - 1 = 0
 ]
 
@@ -272,6 +282,16 @@ def test_kernel_guards():
         convolve([F(1)] * 3, [F(1)] * 2, 2)
 
 
+@pytest.mark.parametrize("nmax", [0, 1, 5])
+def test_kernel_needs_nmax_plus_one_entries_per_column(nmax):
+    full = [F(k + 1, 3) for k in range(nmax + 1)]
+    assert convolve(full, full, nmax) == naive_convolution(full, full, nmax)
+    message = f"convolution to index {nmax} needs {nmax + 1} entries per column$"
+    for a, b in ((full[:-1], full), (full, full[:-1])):
+        with pytest.raises(InvalidParameter, match=message):
+            convolve(a, b, nmax)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(entries, min_size=1, max_size=12), st.lists(entries, min_size=1, max_size=12))
 def test_series_mul_matches_naive_product(a, b):
@@ -302,8 +322,8 @@ def test_tangent_checkers_match_reference(check, reference):
         assert got.passed
 
 
-@pytest.mark.parametrize("check, reference, name, N, blind", TABLE_SUMS)
-def test_table_sum_checkers_match_reference(check, reference, name, N, blind):
+@pytest.mark.parametrize("check, reference, family, N, blind", TABLE_SUMS)
+def test_table_sum_checkers_match_reference(check, reference, family, N, blind):
     for nmax in (0, 1, 2, 7, 30, 45):
         got = check(nmax)
         assert got == reference(nmax)
@@ -322,45 +342,48 @@ def test_y2_column_matches_reference(N):
 
 
 def test_trinomial_convolution_matches_reference():
-    e = identities.hg_euler_recurrence(2, 20).values
-    ehat = identities.comp_hg_euler_recurrence(3, 20).values
-    for n in (0, 1, 2, 9, 20):
-        assert identities.trinomial_convolution(e, n) == reference_trinomial_convolution(e, n)
-        assert identities.trinomial_convolution(ehat, n) == reference_trinomial_convolution(ehat, n)
+    # the EGF cube the trinomial checkers take their left side from
+    for values in (numbers(EULER, 2, 20).values, numbers(COMP, 3, 20).values):
+        cube = convolve(convolve(values, values, 20, egf=True), values, 20, egf=True)
+        for n in (0, 1, 2, 9, 20):
+            assert cube[n] == reference_trinomial_convolution(values, n)
 
 
 # ---------------------------------------------------------------------------
 # the checkers on a doctored table: the same first witness as the oracle
 
-def perturb(monkeypatch, name, N, index, delta):
-    """Make identities.<name>(N, .) return its table with ``delta`` added at
-    ``index`` (tables for other N are left alone)."""
-    original = getattr(identities, name)
+def perturb(monkeypatch, family, N, index, delta):
+    """Make identities.table return the table of (family, N) with ``delta``
+    added at ``index`` (every other table is left alone)."""
+    original = identities.table
+    target = FamilyId(FamilyKind(family), N)
 
-    def doctored(n_param, nmax):
-        tab = original(n_param, nmax)
-        if n_param != N or index > nmax:
+    def doctored(fam, nmax):
+        tab = original(fam, nmax)
+        if fam != target or index > nmax:
             return tab
         values = list(tab.values)
         values[index] += delta
         return NumberTable(tab.family, tuple(values))
 
-    monkeypatch.setattr(identities, name, doctored)
+    monkeypatch.setattr(identities, "table", doctored)
 
 
 @pytest.mark.parametrize("check, reference", SUMPROD)
 @pytest.mark.parametrize(
-    "name, shift, index, delta",
+    "family, shift, index, delta",
     [
-        ("hg_euler_recurrence", 0, 4, F(1, 7)),
-        ("hg_euler_recurrence", 0, 5, F(-3, 11)),
-        ("comp_hg_euler_recurrence", 0, 6, F(2, 5)),
-        ("comp_hg_euler_recurrence", -1, 3, F(1, 13)),
+        ("hg-euler", 0, 4, F(1, 7)),
+        ("hg-euler", 0, 5, F(-3, 11)),
+        ("comp-hg-euler", 0, 6, F(2, 5)),
+        ("comp-hg-euler", -1, 3, F(1, 13)),
     ],
 )
-def test_sumprod_witness_on_perturbed_table(monkeypatch, check, reference, name, shift, index, delta):
+def test_sumprod_witness_on_perturbed_table(
+    monkeypatch, check, reference, family, shift, index, delta
+):
     N = 2
-    perturb(monkeypatch, name, N + shift, index, delta)
+    perturb(monkeypatch, family, N + shift, index, delta)
     got = check(N, 12)
     want = reference(N, 12)
     assert got == want
@@ -369,21 +392,21 @@ def test_sumprod_witness_on_perturbed_table(monkeypatch, check, reference, name,
 @pytest.mark.parametrize("check, reference", TANGENT)
 @pytest.mark.parametrize("index, delta", [(4, F(1, 3)), (0, F(-2, 9))])
 def test_tangent_witness_on_perturbed_table(monkeypatch, check, reference, index, delta):
-    perturb(monkeypatch, "hg_euler_recurrence", 0, index, delta)
+    perturb(monkeypatch, "hg-euler", 0, index, delta)
     got = check(6)
     assert not got.passed
     assert got == reference(6)
 
 
-@pytest.mark.parametrize("check, reference, name, N, blind", TABLE_SUMS)
+@pytest.mark.parametrize("check, reference, family, N, blind", TABLE_SUMS)
 @pytest.mark.parametrize(
     "index, delta",
     [(0, F(-2, 9)), (1, F(-1, 5)), (2, F(2, 7)), (3, F(1, 13)), (4, F(1, 7)), (12, F(5, 3))],
 )
 def test_table_sum_witness_on_perturbed_table(
-    monkeypatch, check, reference, name, N, blind, index, delta
+    monkeypatch, check, reference, family, N, blind, index, delta
 ):
-    perturb(monkeypatch, name, N, index, delta)
+    perturb(monkeypatch, family, N, index, delta)
     got = check(14)
     assert got == reference(14)
     assert got.passed == blind(index)

@@ -14,10 +14,6 @@ from hgnum.families import (
     SPECS,
     FamilyId,
     FamilyKind,
-    comp_hg_euler_recurrence,
-    hg_bernoulli,
-    hg_cauchy,
-    hg_euler_recurrence,
     table,
     via_series,
 )
@@ -87,16 +83,6 @@ def test_negative_nmax_is_refused_on_both_routes(kind):
         if k is kind:
             with pytest.raises(InvalidParameter, match="nmax must be nonnegative"):
                 route(kind, LEAST_N[kind], -2)
-
-
-@pytest.mark.parametrize(
-    "named, N",
-    [(hg_euler_recurrence, 0), (comp_hg_euler_recurrence, 0), (hg_bernoulli, 1), (hg_cauchy, 1)],
-    ids=lambda x: getattr(x, "__name__", str(x)),
-)
-def test_named_tables_refuse_negative_nmax(named, N):
-    with pytest.raises(InvalidParameter, match="nmax must be nonnegative, got -5"):
-        named(N, -5)
 
 
 def test_cli_methods_come_from_the_registry():

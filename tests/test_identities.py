@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum.exact import InvalidParameter
-from hgnum.families import hg_euler_recurrence
+from hgnum.exact import InvalidParameter, convolve
+from hgnum.families import FamilyId, FamilyKind, table
 from hgnum.identities import (
     _ladder,
     check_E1_bernoulli,
@@ -18,10 +18,12 @@ from hgnum.identities import (
     check_tangent_closed_form,
     check_tangent_complex_sum,
     tangent_complex_sum,
-    trinomial_convolution,
     y2_column,
 )
 from hgnum.series import gen_f, gen_fk
+
+EULER = FamilyKind.HG_EULER
+BERNOULLI = FamilyKind.HG_BERNOULLI
 
 
 TANGENT_VALUES = [1, -2, 16, -272, 7936, -353792, 22368256, -1903757312]
@@ -34,7 +36,7 @@ def assert_passed(report):
 
 class TestPairSum:
     def test_hand_values(self):
-        e = hg_euler_recurrence(0, 4)
+        e = table(FamilyId(EULER, 0), 4)
         assert e[0] + e[2] == 0
         assert e[0] + 6 * e[2] + e[4] == 0
 
@@ -44,7 +46,7 @@ class TestPairSum:
 
 class TestE1Bernoulli:
     def test_spot_values(self):
-        e1 = hg_euler_recurrence(1, 14)
+        e1 = table(FamilyId(EULER, 1), 14)
         assert e1[4] == -3 * F(-1, 30)
         assert e1[3] == 0
         assert e1[14] == -13 * F(7, 6) == F(-91, 6)
@@ -57,9 +59,8 @@ class TestBernoulliLemma:
     def test_hand_n1(self):
         # single surviving term -1/3! against -B_2/1!
         from hgnum.exact import factorial
-        from hgnum.families import hg_bernoulli
 
-        b = hg_bernoulli(1, 2)
+        b = table(FamilyId(BERNOULLI, 1), 2)
         lhs = sum((i - 1) * b[i] / (factorial(1 - i + 2) * factorial(i)) for i in range(2))
         assert lhs == -b[2] / factorial(1) == F(-1, 6)
 
@@ -112,7 +113,7 @@ class TestSumsOfProducts:
         assert _ladder(w, 16) == gen_fk(w, 16).reciprocal().egf_values()
 
     def test_pair_spot_value(self):
-        e = hg_euler_recurrence(1, 2)
+        e = table(FamilyId(EULER, 1), 2)
         assert 2 * e[0] * e[2] == F(-1, 3)
 
     def test_guard(self):
@@ -126,10 +127,12 @@ class TestSumsOfProducts:
         from hgnum.exact import factorial
 
         N, nmax = 2, 16
-        e = hg_euler_recurrence(N, nmax)
-        cube = gen_f(N, nmax).reciprocal().pow(3)
+        e = table(FamilyId(EULER, N), nmax).values
+        r = gen_f(N, nmax).reciprocal()
+        cube = r * r * r
+        trinomial = convolve(convolve(e, e, nmax, egf=True), e, nmax, egf=True)
         for n in range(nmax + 1):
-            assert trinomial_convolution(e.values, n) == factorial(n) * cube[n]
+            assert trinomial[n] == factorial(n) * cube[n]
 
 
 class TestSeriesIdentitySuite:

@@ -23,7 +23,7 @@ from helpers import is_zero, monomial, rising_factorial
 
 
 def series_from_ints(ints):
-    return TruncatedSeries.from_coeffs([F(i) for i in ints])
+    return TruncatedSeries(tuple(F(i) for i in ints))
 
 
 class TestArithmetic:
@@ -40,7 +40,7 @@ class TestArithmetic:
 
     def test_mul_by_one(self):
         s = series_from_ints([3, 1, 4, 1, 5])
-        assert TruncatedSeries.one(4) * s == s
+        assert monomial(0, 4) * s == s
 
     def test_mul_truncates_to_min_order(self):
         a = series_from_ints([1, 1, 1])
@@ -49,7 +49,7 @@ class TestArithmetic:
 
     def test_defining_product_of_reciprocal(self):
         f = gen_f(3, 16)
-        assert (f * f.reciprocal()).agrees_with(TruncatedSeries.one(16))
+        assert f * f.reciprocal() == monomial(0, 16)
 
     def test_cauchy_product_annihilates_shifted_factor(self):
         # the product defining the main family collapses to a single monomial
@@ -75,7 +75,7 @@ class TestReciprocal:
         assert list(values) == [1, 0, F(-1, 3), 0, F(7, 15)]
 
     def test_from_egf_inverts_egf_values(self):
-        s = TruncatedSeries.from_coeffs([F(1), F(-2, 3), F(0), F(5, 7), F(1, 9)])
+        s = TruncatedSeries((F(1), F(-2, 3), F(0), F(5, 7), F(1, 9)))
         assert TruncatedSeries.from_egf(s.egf_values()) == s
 
     def test_zero_constant_term(self):
@@ -85,18 +85,18 @@ class TestReciprocal:
 
 class TestDerivative:
     def test_constant(self):
-        assert is_zero(TruncatedSeries.one(0).derivative())
+        assert is_zero(monomial(0, 0).derivative())
 
     def test_cosh_to_sinh(self):
         d = gen_cosh(13).derivative()
         sinh = gen_fk(1, 12).times_t()  # sinh t / t, times t
-        assert d.agrees_with(sinh)
+        assert d == sinh
 
     def test_star_relation(self):
         N, M = 3, 20
         f = gen_f(N, M)
         lhs = f.scale(2 * N) + f.derivative().times_t()
-        assert lhs.agrees_with(gen_fstar(N, M).scale(2 * N), upto=M - 1)
+        assert lhs.coeffs[:M] == gen_fstar(N, M).scale(2 * N).coeffs[:M]
 
 
 class TestHasseTeichmuller:
@@ -112,20 +112,18 @@ class TestHasseTeichmuller:
     def test_matches_repeated_derivative_over_factorial(self):
         rng = random.Random(7)
         for _ in range(25):
-            s = TruncatedSeries.from_coeffs(
-                [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)]
-            )
+            s = TruncatedSeries(tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)))
             for n in range(1, 6):
                 d = s
                 for _ in range(n):
                     d = d.derivative()
-                assert s.hasse_teichmuller(n).agrees_with(d.scale(F(1) / factorial(n)))
+                assert s.hasse_teichmuller(n) == d.scale(F(1) / factorial(n))
 
 
 small_series = st.lists(
     st.fractions(min_value=-100, max_value=100, max_denominator=20),
     min_size=13, max_size=13
-).map(TruncatedSeries.from_coeffs)
+).map(lambda cs: TruncatedSeries(tuple(cs)))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -172,7 +170,7 @@ class TestGenerators:
     def test_sin_cos_pythagoras(self):
         order = 14
         lhs = gen_sin(order) * gen_sin(order) + gen_cos(order) * gen_cos(order)
-        assert lhs.agrees_with(TruncatedSeries.one(order))
+        assert lhs == monomial(0, order)
 
     def test_parameter_guards(self):
         with pytest.raises(InvalidParameter):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from hgnum import identities
-from hgnum.families import NumberTable
+from hgnum.families import FamilyKind, NumberTable
 from hgnum.identities import check_series_identities
 from hgnum.series import TruncatedSeries, gen_f, gen_fstar
 
@@ -80,22 +80,24 @@ def test_cosh_expansion_still_compares(monkeypatch):
 @pytest.mark.parametrize("N", range(1, 7))
 def test_table_reciprocals_equal_series_reciprocals(N):
     for M in range(41):
-        inv_f = TruncatedSeries.from_egf(identities.hg_euler_recurrence(N, M).values)
-        inv_fstar = TruncatedSeries.from_egf(identities.comp_hg_euler_recurrence(N - 1, M).values)
+        inv_f = TruncatedSeries.from_egf(identities._ladder(2 * N, M))
+        inv_fstar = TruncatedSeries.from_egf(identities._ladder(2 * N - 1, M))
         assert inv_f == gen_f(N, M).reciprocal()
         assert inv_fstar == gen_fstar(N, M).reciprocal()
 
 
 def test_a_doctored_table_fails_the_reciprocal_checks(monkeypatch):
-    real = identities.hg_euler_recurrence
+    real = identities.table
 
-    def doctored(N, nmax):
-        tab = real(N, nmax)
+    def doctored(family, nmax):
+        tab = real(family, nmax)
+        if family.kind is not FamilyKind.HG_EULER:
+            return tab
         values = list(tab.values)
         values[6] += F(1, 17)
         return NumberTable(tab.family, tuple(values))
 
-    monkeypatch.setattr(identities, "hg_euler_recurrence", doctored)
+    monkeypatch.setattr(identities, "table", doctored)
     report = check_series_identities(2, 12)
     assert not report.passed
     assert report.first_failure.indices == ("reciprocal-derivative", 5)

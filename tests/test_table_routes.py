@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgnum import cli, closed_forms, exact, linalg
+from hgnum import cli
 from hgnum.closed_forms import (
     BINOMIAL_CAP,
     COMPOSITION_CAP,
@@ -206,38 +206,6 @@ def test_value_reads_every_route(kind):
             column = route(kind, N, VALUE_NMAX)
             for n in range(stride, VALUE_NMAX + 1, stride):
                 assert value(kind, method, N, n) == column[n], (method, N, n)
-
-
-# p(m), the number of partitions of m, for m = 0..12
-PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
-
-
-@pytest.mark.parametrize("kind", EULER_KINDS, ids=lambda k: k.value)
-def test_value_expands_index_n_alone(kind, monkeypatch):
-    """The explicit and Trudi methods enumerate for index n = s m only: the
-    2^(m-1) compositions of m, and the p(m) partitions of m."""
-    yielded = []
-
-    def counting(enumerate_terms):
-        def wrapper(*args):
-            for term in enumerate_terms(*args):
-                yielded.append(term)
-                yield term
-
-        return wrapper
-
-    monkeypatch.setattr(closed_forms, "compositions", counting(exact.compositions))
-    monkeypatch.setattr(
-        linalg, "partition_multiplicities", counting(exact.partition_multiplicities)
-    )
-    stride = SPECS[kind].stride
-    for m in range(1, 13):
-        yielded.clear()
-        value(kind, "explicit", 2, stride * m)
-        assert len(yielded) == 2 ** (m - 1), ("explicit", m)
-        yielded.clear()
-        value(kind, "trudi", 2, stride * m)
-        assert len(yielded) == PARTITION_COUNTS[m], ("trudi", m)
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
