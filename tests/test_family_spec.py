@@ -85,6 +85,17 @@ def test_negative_nmax_is_refused_on_both_routes(kind):
                 route(kind, LEAST_N[kind], -2)
 
 
+@KINDS
+def test_negative_nmax_is_refused_with_the_family_memoised(kind):
+    """A negative nmax is refused before the memo is read; otherwise
+    values[: nmax + 1] would hand back a short table without a word."""
+    family = FamilyId(kind, LEAST_N[kind] + 1)
+    assert len(table(family, 12).values) == 13
+    for nmax in (-1, -5):
+        with pytest.raises(InvalidParameter, match=f"nmax must be nonnegative, got {nmax}$"):
+            table(family, nmax)
+
+
 def test_cli_methods_come_from_the_registry():
     assert cli._METHODS == tuple(dict.fromkeys(method for _, method in table_routes()))
     assert cli._METHODS == ("recurrence", "series", "explicit", "binomial", "det", "trudi")
