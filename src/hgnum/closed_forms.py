@@ -1,6 +1,6 @@
-"""Every route of the ``compute`` command: the recurrence and series-reciprocal
-tables of :mod:`~hgnum.families`, composition sums, binomial-weighted sums,
-Hessenberg determinants, and Trudi expansions.
+"""Every route of the ``compute`` command: the number-recurrence and
+series-reciprocal tables of :mod:`~hgnum.families`, composition sums,
+binomial-weighted sums, Hessenberg determinants, and Trudi expansions.
 
 Each route is a table route, ``table_<route>(kind, N, nmax)``, which returns
 the whole column v_0..v_nmax in one call and shares its work between the
@@ -10,8 +10,8 @@ is one formula in the family's weights a_0..a_m and stride s, both read off
 its :class:`~hgnum.families.FamilySpec`.  :func:`table_routes` is the
 registry of which route serves which method of which family.  Only the Euler
 types have the composition, binomial and Trudi expansions; for hg-bernoulli
-and hg-cauchy the series route serves ``recurrence`` and ``series``, the det
-route ``det`` and ``trudi``, and ``--method all`` runs each route once.
+and hg-cauchy the det route serves both ``det`` and ``trudi``, and
+``--method all`` runs each route once.
 
 The determinant, composition and Trudi kernels run on plain ints: each takes
 the weights as integer numerators over their common denominator
@@ -192,9 +192,10 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     """
     euler = dict(recurrence=_table_recurrence, series=_table_series, explicit=table_explicit,
                  binomial=table_binomial, det=table_det, trudi=table_trudi)
-    # hg-bernoulli and hg-cauchy have no number recurrence or Trudi expansion
-    # here, so the series and det routes each serve two of their methods.
-    stride1 = dict(recurrence=_table_series, series=_table_series, det=table_det, trudi=table_det)
+    # hg-bernoulli and hg-cauchy have no Trudi expansion here, so the det
+    # route serves both their det and their trudi.
+    stride1 = dict(recurrence=_table_recurrence, series=_table_series, det=table_det,
+                   trudi=table_det)
     return {
         (kind, method): route
         for kind in FamilyKind

@@ -1,8 +1,9 @@
-"""Number tables for the four families, by recurrence and by series reciprocal.
+"""Number tables for the four families, by integer recurrence and by series reciprocal.
 
 Each family is one :class:`FamilySpec` in :data:`SPECS`: v_n = n! [t^n] 1/F(t)
 for one hypergeometric denominator F, whose coefficients a_0 = 1, a_1, ... sit
-at the multiples of a stride (2 for the Euler types, 1 otherwise).
+at the multiples of a stride (2 for the Euler types, 1 otherwise), and whose
+``recurrence`` reads F(t) V(t) = 1 in the numbers, on ints over a running lcm.
 
 Tables store the numbers themselves (with the n! factored in), not EGF
 coefficients, and keep explicit zeros at odd indices for the two Euler-type
@@ -15,13 +16,14 @@ computes afresh.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exact import InvalidParameter, ONE, ZERO, factorial
+from .exact import InvalidParameter, ONE
 from .series import (
     TruncatedSeries,
     gen_f,
@@ -40,13 +42,13 @@ class FamilyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """``denominator(N, order)`` is F up to t^order.  ``recurrence(N, nmax)``,
-    if given, is the family's table route, a recurrence on the numbers."""
+    """``denominator(N, order)`` is F up to t^order.  ``recurrence(N, nmax)``
+    is the family's table route, a recurrence on the numbers themselves."""
 
     least_N: int
     stride: int
     denominator: Callable[[int, int], TruncatedSeries]
-    recurrence: Callable[[int, int], tuple[Fraction, ...]] | None = None
+    recurrence: Callable[[int, int], tuple[Fraction, ...]]
 
 
 def _check_nmax(nmax: int) -> None:
@@ -96,35 +98,67 @@ class NumberTable:
         return len(self.values) - 1
 
 
-def _even_convolution_recurrence(w: int, nmax: int) -> tuple[Fraction, ...]:
-    # v_0 = 1; v_n = -n! w! sum_{i<n/2} v_{2i} / ((w+n-2i)! (2i)!) for even n.
-    w_f = factorial(w)
-    values: list[Fraction] = [ONE]
+def _over_running_lcm(nmax: int,
+                      step: Callable[[int, list[int]], tuple[int, int]]) -> tuple[Fraction, ...]:
+    """v_0 = 1 and v_n = num / (den L) for (num, den) = step(n, scaled), where L
+    is the lcm of the denominators of v_0..v_{n-1} and scaled[k] = L v_k: the
+    ints are rescaled only when L grows, and each index builds one Fraction."""
+    values, scaled, lcm = [ONE], [1], 1
     for n in range(1, nmax + 1):
-        if n % 2 == 1:
-            values.append(ZERO)
-            continue
-        acc = sum(
-            (values[2 * i] / (factorial(w + n - 2 * i) * factorial(2 * i)) for i in range(n // 2)),
-            ZERO,
-        )
-        values.append(-factorial(n) * w_f * acc)
+        num, den = step(n, scaled)
+        v = Fraction(num, den * lcm)
+        values.append(v)
+        grown = math.lcm(lcm, v.denominator)
+        if grown != lcm:
+            scaled = [y * (grown // lcm) for y in scaled]
+            lcm = grown
+        scaled.append(v.numerator * (lcm // v.denominator))
     return tuple(values)
 
 
-# The Euler-type denominators are sum w!/(w+2j)! t^{2j} with w = 2N (hg-euler)
-# or 2N+1 (comp-hg-euler); the recurrence takes the same w.
+def _binomial_recurrence(w: int, stride: int, nmax: int) -> tuple[Fraction, ...]:
+    """sum_{k <= n, k = n mod stride} C(w+n, k) v_k = [n = 0]: F(t) V(t) = 1
+    read at t^{w+n}, since t^w F(t) is w! times e^t, cosh t or sinh t less
+    its Taylor polynomial below degree w.  The values off the stride are 0."""
+
+    def step(n: int, scaled: list[int]) -> tuple[int, int]:
+        if n % stride:
+            return 0, 1
+        c, acc = 1, 0  # c = C(w+n, k)
+        for k in range(n):
+            if k % stride == 0:
+                acc += c * scaled[k]
+            c = c * (w + n - k) // (k + 1)
+        return -acc, c
+    return _over_running_lcm(nmax, step)
+
+
+def _cauchy_recurrence(N: int, nmax: int) -> tuple[Fraction, ...]:
+    """v_n = -N sum_{k<n} (-1)^{n-k} n!/(k! (N+n-k)) v_k, F(t) V(t) = 1 read at
+    t^n, with every 1/(N+j) over D = lcm(N+1..N+n)."""
+    den = 1
+    def step(n: int, scaled: list[int]) -> tuple[int, int]:
+        nonlocal den
+        den = math.lcm(den, N + n)
+        acc = 0
+        for k in range(n):  # Horner in k: term k gets the factor n!/k!
+            t = den // (N + n - k) * scaled[k]
+            acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1)
+        return N * acc, den
+    return _over_running_lcm(nmax, step)
+
+
+# FamilySpec(least_N, stride, denominator, recurrence).  F is sum w!/(w+sj)! t^{sj}
+# with w = 2N, 2N+1 or N for hg-euler, comp-hg-euler or hg-bernoulli.
 SPECS: dict[FamilyKind, FamilySpec] = {
     FamilyKind.HG_EULER: FamilySpec(
-        least_N=0, stride=2, denominator=gen_f,
-        recurrence=lambda N, nmax: _even_convolution_recurrence(2 * N, nmax),
-    ),
+        0, 2, gen_f, lambda N, nmax: _binomial_recurrence(2 * N, 2, nmax)),
     FamilyKind.COMP_HG_EULER: FamilySpec(
-        least_N=0, stride=2, denominator=gen_fhat,
-        recurrence=lambda N, nmax: _even_convolution_recurrence(2 * N + 1, nmax),
-    ),
-    FamilyKind.HG_BERNOULLI: FamilySpec(least_N=1, stride=1, denominator=gen_hgbernoulli_denom),
-    FamilyKind.HG_CAUCHY: FamilySpec(least_N=1, stride=1, denominator=gen_hgcauchy_denom),
+        0, 2, gen_fhat, lambda N, nmax: _binomial_recurrence(2 * N + 1, 2, nmax)),
+    FamilyKind.HG_BERNOULLI: FamilySpec(
+        1, 1, gen_hgbernoulli_denom, lambda N, nmax: _binomial_recurrence(N, 1, nmax)),
+    FamilyKind.HG_CAUCHY: FamilySpec(
+        1, 1, gen_hgcauchy_denom, lambda N, nmax: _cauchy_recurrence(N, nmax)),
 }
 
 
@@ -146,19 +180,15 @@ _memo_lock = threading.Lock()
 
 
 def table(family: FamilyId, nmax: int) -> NumberTable:
-    """Recurrence route where the family has one, series route otherwise;
-    a prefix of the memo's entry when that is long enough."""
+    """The family's number recurrence, or a prefix of the memo's entry when
+    that is long enough."""
     _check_nmax(nmax)
     with _memo_lock:
         values = _memo.get(family)
         if values is not None and len(values) > nmax:
             _memo.move_to_end(family)
             return NumberTable(family, values[: nmax + 1])
-    recurrence = family.spec.recurrence
-    if recurrence is None:
-        values = via_series(family, nmax).values
-    else:
-        values = recurrence(family.N, nmax)
+    values = family.spec.recurrence(family.N, nmax)
     with _memo_lock:
         held = _memo.get(family)
         if held is None or len(held) < len(values):

@@ -3,8 +3,9 @@
 A :class:`TruncatedSeries` knows its coefficients c_0..c_M exactly and nothing
 beyond t^M.  Arithmetic truncates to the smallest order among the operands;
 differentiation loses one order.  All values are immutable.  The class has the
-operations the families and the identity checkers use, and the paper's
-Hasse-Teichmuller (divided-power) derivative, which the acceptance tests check.
+operations the families and the identity checkers use (products and the Newton
+reciprocal on :func:`~hgnum.exact.convolve`) and the paper's Hasse-Teichmuller
+(divided-power) derivative, which the acceptance tests check.
 
 The module also provides constructors for every generating function the number
 families and identity checkers need: the even-coefficient family with
@@ -68,16 +69,19 @@ class TruncatedSeries:
     def reciprocal(self) -> "TruncatedSeries":
         """Series r with self * r = 1 up to the truncation order.
 
-        Forward recurrence r_0 = 1/c_0, r_n = -(1/c_0) sum_{k=1}^n c_k r_{n-k}.
+        Newton's iteration r <- r (2 - self r) (Brent and Harvey,
+        arXiv:1108.0286): if r is right to t^{p-1}, self r = 1 + t^p e and
+        r - t^p r e is right to t^{2p-1}, one convolution each for e and r e.
         """
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroConstantTerm("series has zero constant term")
-        inv0 = ONE / c0
-        r = [inv0]
-        for n in range(1, self.order + 1):
-            acc = sum((self.coeffs[k] * r[n - k] for k in range(1, n + 1)), ZERO)
-            r.append(-inv0 * acc)
+        r, p = [ONE / c0], 1
+        while p <= self.order:
+            q = min(2 * p, self.order + 1)
+            e = convolve(self.coeffs[:q], r + [ZERO] * (q - p), q - 1)[p:]
+            r += [-x for x in convolve(r[: q - p], e, q - p - 1)]
+            p = q
         return TruncatedSeries(tuple(r))
 
     def derivative(self) -> "TruncatedSeries":

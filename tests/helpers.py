@@ -1,8 +1,10 @@
 """Helpers and oracles that only the tests use: the package has no caller for
-any of them.  Among them are two checks of the paper's results that no CLI
-command runs: its printed closed forms of E_{N,k} and Ehat_{N,k} for k = 2, 4,
-6, 8 (``closed_small``, criterion 2) and the matrix-inverse pairing of each
-family's numbers with its weights (``inverse_pair_check``, criterion 9)."""
+any of them.  Among them are the ``Fraction`` loops that the integer number
+recurrence and the Newton reciprocal replaced, kept as their references, and
+two checks of the paper's results that no CLI command runs: its printed
+closed forms of E_{N,k} and Ehat_{N,k} for k = 2, 4, 6, 8 (``closed_small``,
+criterion 2) and the matrix-inverse pairing of each family's numbers with its
+weights (``inverse_pair_check``, criterion 9)."""
 
 import math
 from fractions import Fraction as F
@@ -62,6 +64,35 @@ def dense_hessenberg(entries):
         if i + 1 < m:
             mat[i][i + 1] = F(1)
     return mat
+
+
+def even_convolution_recurrence(w, nmax):
+    """The Euler types' numbers in ``Fraction`` arithmetic, v_0 = 1 and
+    v_n = -n! w! sum_{i<n/2} v_{2i} / ((w+n-2i)! (2i)!) for even n: the
+    reference for the integer binomial recurrence (w = 2N or 2N+1)."""
+    w_f = factorial(w)
+    values = [F(1)]
+    for n in range(1, nmax + 1):
+        if n % 2 == 1:
+            values.append(F(0))
+            continue
+        acc = sum(
+            (values[2 * i] / (factorial(w + n - 2 * i) * factorial(2 * i)) for i in range(n // 2)),
+            F(0),
+        )
+        values.append(-factorial(n) * w_f * acc)
+    return tuple(values)
+
+
+def forward_reciprocal(series):
+    """The reciprocal by the forward recurrence r_0 = 1/c_0,
+    r_n = -(1/c_0) sum_{k=1}^n c_k r_{n-k}, in ``Fraction`` arithmetic: the
+    reference for the Newton reciprocal."""
+    inv0 = 1 / series[0]
+    r = [inv0]
+    for n in range(1, series.order + 1):
+        r.append(-inv0 * sum((series[k] * r[n - k] for k in range(1, n + 1)), F(0)))
+    return TruncatedSeries(tuple(r))
 
 
 def monomial(k, order):

@@ -139,8 +139,8 @@ class TestCompute:
         "family, N, methods, routes",
         [
             ("hg-euler", 0, 6, 6), ("comp-hg-euler", 0, 6, 6),
-            # the series route serves recurrence and series, the det route det and trudi
-            ("hg-bernoulli", 1, 4, 2), ("hg-cauchy", 1, 4, 2),
+            # recurrence, series and det are three routes; det also serves trudi
+            ("hg-bernoulli", 1, 4, 3), ("hg-cauchy", 1, 4, 3),
         ],
     )
     def test_all_runs_each_route_once(self, capsys, monkeypatch, family, N, methods, routes):

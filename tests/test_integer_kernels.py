@@ -1,5 +1,5 @@
 """The integer-numerator kernels against the Fraction loops they replaced,
-which are kept here as references."""
+which are kept here or in ``helpers`` as references."""
 
 from fractions import Fraction as F
 
@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from hgnum.closed_forms import _composition_sum
 from hgnum.exact import partition_multiplicities
-from hgnum.families import FamilyId
+from hgnum.families import SPECS, FamilyId, FamilyKind
 from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
-from helpers import EULER_KINDS, all_compositions
+from hgnum.series import TruncatedSeries
+from helpers import EULER_KINDS, all_compositions, even_convolution_recurrence, forward_reciprocal
 
 
 def fraction_det_prefixes(entries):
@@ -93,3 +94,50 @@ def test_composition_sum_on_family_weights(kind):
         weights = FamilyId(kind, N).weights(24)
         for half in range(1, 13):
             assert _composition_sum(weights, half) == fraction_composition_sum(weights, half)
+
+
+# A family: its kind, and N small or at the bound (where the Fraction loops
+# reduce numbers of tens of thousands of digits).
+@st.composite
+def family_ids(draw):
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    N = draw(st.one_of(st.integers(SPECS[kind].least_N, 12), st.just(10000)))
+    return FamilyId(kind, N)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family_ids(), st.integers(0, 120))
+def test_number_recurrence_matches_the_forward_reciprocal(family, nmax):
+    got = family.spec.recurrence(family.N, nmax)
+    denominator = family.spec.denominator(family.N, nmax)
+    assert got == forward_reciprocal(denominator).egf_values()
+    assert all(type(v) is F for v in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(EULER_KINDS), st.integers(0, 12), st.integers(0, 120))
+def test_euler_recurrence_matches_the_fraction_convolution(kind, N, nmax):
+    w = 2 * N + (kind is FamilyKind.COMP_HG_EULER)
+    assert SPECS[kind].recurrence(N, nmax) == even_convolution_recurrence(w, nmax)
+
+
+@pytest.mark.parametrize("kind", EULER_KINDS, ids=lambda k: k.value)
+def test_euler_recurrence_matches_the_fraction_convolution_at_the_N_bound(kind):
+    w = 20000 + (kind is FamilyKind.COMP_HG_EULER)
+    assert SPECS[kind].recurrence(10000, 24) == even_convolution_recurrence(w, 24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=40).filter(lambda c: c[0] != 0))
+def test_newton_reciprocal_matches_the_forward_loop(coeffs):
+    series = TruncatedSeries(tuple(coeffs))
+    got = series.reciprocal()
+    assert got == forward_reciprocal(series)
+    assert all(type(c) is F for c in got.coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family_ids(), st.integers(0, 120))
+def test_newton_reciprocal_of_each_denominator(family, order):
+    denominator = family.spec.denominator(family.N, order)
+    assert denominator.reciprocal() == forward_reciprocal(denominator)

@@ -1,12 +1,13 @@
 """Which ``compute`` methods share a kernel: break one kernel at a time and
 ``compute --method all`` changes exactly the methods that run it.
 
-For the Euler types every method has a kernel of its own, so each broken
-kernel changes one method and ``all`` exits 3.  For hg-bernoulli and
-hg-cauchy the series reciprocal serves ``recurrence`` and ``series`` and the
-Hessenberg determinants serve ``det`` and ``trudi``: those two kernels each
-change two methods (``all`` still exits 3, the two routes disagreeing), and
-the Euler-only kernels change nothing.
+Every family's ``recurrence`` (the number recurrences over a running lcm),
+``series`` (the Newton reciprocal) and ``det`` (the Hessenberg determinants)
+are separate kernels, so each of them changes one method and ``all`` exits 3.
+For the Euler types every other method has a kernel of its own too.  For
+hg-bernoulli and hg-cauchy the Hessenberg determinants also serve ``trudi``,
+so that kernel changes two methods, and the Euler-only kernels and the other
+family's recurrence change nothing.
 """
 
 import csv
@@ -25,7 +26,9 @@ MAX_N = 12  # even, so the last index is a value of every family
 
 # kernel -> where the routes look it up
 KERNELS = {
-    "_even_convolution_recurrence": families,
+    "_over_running_lcm": families,
+    "_binomial_recurrence": families,
+    "_cauchy_recurrence": families,
     "reciprocal": TruncatedSeries,
     "hessenberg_det_prefixes": closed_forms,
     "trudi_expand": closed_forms,
@@ -34,16 +37,28 @@ KERNELS = {
 }
 
 EULER_METHODS = {
-    "_even_convolution_recurrence": {"recurrence"},
+    "_over_running_lcm": {"recurrence"},
+    "_binomial_recurrence": {"recurrence"},
+    "_cauchy_recurrence": set(),
     "reciprocal": {"series"},
     "hessenberg_det_prefixes": {"det"},
     "trudi_expand": {"trudi"},
     "_composition_sum": {"explicit"},
     "_power_chain": {"binomial"},
 }
-STRIDE1_METHODS = dict.fromkeys(KERNELS, set()) | {
-    "reciprocal": {"recurrence", "series"},
-    "hessenberg_det_prefixes": {"det", "trudi"},
+# kind -> kernel -> methods, for the stride-1 families, which differ only in
+# their own recurrence
+STRIDE1_METHODS = {
+    kind: dict.fromkeys(KERNELS, set()) | {
+        "_over_running_lcm": {"recurrence"},
+        own: {"recurrence"},
+        "reciprocal": {"series"},
+        "hessenberg_det_prefixes": {"det", "trudi"},
+    }
+    for kind, own in (
+        (FamilyKind.HG_BERNOULLI, "_binomial_recurrence"),
+        (FamilyKind.HG_CAUCHY, "_cauchy_recurrence"),
+    )
 }
 
 
@@ -82,7 +97,7 @@ def test_a_broken_kernel_changes_only_its_methods(monkeypatch, capsys, kind, ker
     code, err, broken = compute_all(monkeypatch, capsys, kind)
     assert broken.keys() == clean.keys()
     changed = {m for m in clean if broken[m] != clean[m]}
-    expected = (EULER_METHODS if SPECS[kind].stride == 2 else STRIDE1_METHODS)[kernel]
+    expected = EULER_METHODS[kernel] if SPECS[kind].stride == 2 else STRIDE1_METHODS[kind][kernel]
     assert changed == expected
     if expected:
         assert code == EXIT_MISMATCH

@@ -8,9 +8,10 @@ with no code shared with the package (``helpers.numbers_mod_p``).  Every denomin
 product of integers below 2N + n + 2, far below p, so every exact value has a
 residue.  Each ``compute`` method's exact table is reduced mod p and compared
 with the oracle: the determinant route at N = 10000, the recurrence and
-determinant routes of comp-hg-euler N = 3 to n = 300, and the composition
-and Trudi expansions at their caps.  These are the sizes where the integer
-kernels' common denominators and rescaling do the most work.
+determinant routes of comp-hg-euler N = 3 to n = 300, the recurrence and
+series routes of hg-bernoulli N = 7 and hg-cauchy N = 5 to n = 200, and the
+composition and Trudi expansions at their caps.  These are the sizes where
+the integer kernels' common denominators and rescaling do the most work.
 """
 
 from fractions import Fraction as F
@@ -44,8 +45,10 @@ def test_oracle_gives_the_classical_numbers(family, N, want):
         ("hg-cauchy", 10000, "det", 150),
         ("comp-hg-euler", 3, "recurrence", 300),
         ("comp-hg-euler", 3, "det", 300),
-        ("hg-bernoulli", 7, "recurrence", 100),
-        ("hg-cauchy", 5, "series", 120),
+        ("hg-bernoulli", 7, "recurrence", 200),
+        ("hg-bernoulli", 7, "series", 200),
+        ("hg-cauchy", 5, "recurrence", 200),
+        ("hg-cauchy", 5, "series", 200),
         ("hg-euler", 20, "explicit", 30),  # the composition cap
         ("comp-hg-euler", 3, "trudi", 60),  # the partition cap
         # the binomial cap, 200, takes about 3 s; 80 is past every other test

@@ -12,7 +12,7 @@ import pytest
 from hgnum import families
 from hgnum.cli import main
 from hgnum.exact import InvalidParameter
-from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, table, via_series
+from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, table
 
 
 @pytest.fixture(autouse=True)
@@ -24,10 +24,7 @@ def cold_memo():
 
 def fresh(family, nmax):
     """The table as the spec builds it, without the memo."""
-    recurrence = family.spec.recurrence
-    if recurrence is None:
-        return via_series(family, nmax).values
-    return recurrence(family.N, nmax)
+    return family.spec.recurrence(family.N, nmax)
 
 
 def every_family(Nmax=6):
