@@ -192,8 +192,7 @@ def table_routes() -> dict[tuple[FamilyKind, str], TableRoute]:
     """
     euler = dict(recurrence=_table_recurrence, series=_table_series, explicit=table_explicit,
                  binomial=table_binomial, det=table_det, trudi=table_trudi)
-    # hg-bernoulli and hg-cauchy have no Trudi expansion here, so the det
-    # route serves both their det and their trudi.
+    # hg-bernoulli and hg-cauchy have no Trudi expansion here: det serves their trudi.
     stride1 = dict(recurrence=_table_recurrence, series=_table_series, det=table_det,
                    trudi=table_det)
     return {

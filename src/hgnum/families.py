@@ -120,7 +120,6 @@ def _binomial_recurrence(w: int, stride: int, nmax: int) -> tuple[Fraction, ...]
     """sum_{k <= n, k = n mod stride} C(w+n, k) v_k = [n = 0]: F(t) V(t) = 1
     read at t^{w+n}, since t^w F(t) is w! times e^t, cosh t or sinh t less
     its Taylor polynomial below degree w.  The values off the stride are 0."""
-
     def step(n: int, scaled: list[int]) -> tuple[int, int]:
         if n % stride:
             return 0, 1
@@ -148,17 +147,21 @@ def _cauchy_recurrence(N: int, nmax: int) -> tuple[Fraction, ...]:
     return _over_running_lcm(nmax, step)
 
 
-# FamilySpec(least_N, stride, denominator, recurrence).  F is sum w!/(w+sj)! t^{sj}
-# with w = 2N, 2N+1 or N for hg-euler, comp-hg-euler or hg-bernoulli.
+# F is sum w!/(w+sj)! t^{sj} with w = 2N, 2N+1 or N for hg-euler,
+# comp-hg-euler or hg-bernoulli; the recurrence takes the same w.
 SPECS: dict[FamilyKind, FamilySpec] = {
     FamilyKind.HG_EULER: FamilySpec(
-        0, 2, gen_f, lambda N, nmax: _binomial_recurrence(2 * N, 2, nmax)),
+        least_N=0, stride=2, denominator=gen_f,
+        recurrence=lambda N, nmax: _binomial_recurrence(2 * N, 2, nmax)),
     FamilyKind.COMP_HG_EULER: FamilySpec(
-        0, 2, gen_fhat, lambda N, nmax: _binomial_recurrence(2 * N + 1, 2, nmax)),
+        least_N=0, stride=2, denominator=gen_fhat,
+        recurrence=lambda N, nmax: _binomial_recurrence(2 * N + 1, 2, nmax)),
     FamilyKind.HG_BERNOULLI: FamilySpec(
-        1, 1, gen_hgbernoulli_denom, lambda N, nmax: _binomial_recurrence(N, 1, nmax)),
+        least_N=1, stride=1, denominator=gen_hgbernoulli_denom,
+        recurrence=lambda N, nmax: _binomial_recurrence(N, 1, nmax)),
     FamilyKind.HG_CAUCHY: FamilySpec(
-        1, 1, gen_hgcauchy_denom, lambda N, nmax: _cauchy_recurrence(N, nmax)),
+        least_N=1, stride=1, denominator=gen_hgcauchy_denom,
+        recurrence=lambda N, nmax: _cauchy_recurrence(N, nmax)),
 }
 
 

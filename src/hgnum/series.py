@@ -67,12 +67,10 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(convolve(self.coeffs, other.coeffs, m)))
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series r with self * r = 1 up to the truncation order.
-
-        Newton's iteration r <- r (2 - self r) (Brent and Harvey,
-        arXiv:1108.0286): if r is right to t^{p-1}, self r = 1 + t^p e and
-        r - t^p r e is right to t^{2p-1}, one convolution each for e and r e.
-        """
+        """Series r with self * r = 1 up to the truncation order, by Newton's
+        iteration r <- r (2 - self r) (Brent and Harvey, arXiv:1108.0286): if r
+        is right to t^{p-1}, self r = 1 + t^p e and r - t^p r e is right to
+        t^{2p-1}, one convolution each for e and r e."""
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroConstantTerm("series has zero constant term")

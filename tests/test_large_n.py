@@ -1,8 +1,8 @@
 """The routes agree at the N bound, N = 10000, where the weights hold
 factorials of tens of thousands of digits: hg-bernoulli and hg-cauchy through
-``compute --method all`` (their recurrence, series and det routes), the Euler
-types through their recurrence, series and det routes to n = 200, checked
-against the modular oracle as well."""
+``compute --method all`` (their recurrence, series and det routes).  The Euler
+types' routes at this N are checked against the modular oracle in
+``test_modular_oracle.py``."""
 
 from collections import OrderedDict
 
@@ -10,10 +10,7 @@ import pytest
 
 from hgnum import families
 from hgnum.cli import EXIT_OK, main
-from hgnum.closed_forms import table_routes
 from hgnum.families import MAX_N
-
-from helpers import EULER_KINDS, numbers_mod_p, residue
 
 
 @pytest.fixture(autouse=True)
@@ -30,12 +27,3 @@ def test_compute_all_agrees_at_the_N_bound(capsys, family):
     assert (code, out.err) == (EXIT_OK, "")
     assert len(out.out.splitlines()) == 1 + 121 * 4
 
-
-@pytest.mark.parametrize("kind", EULER_KINDS, ids=lambda k: k.value)
-def test_euler_routes_agree_at_the_N_bound(kind):
-    routes = table_routes()
-    recurrence, series, det = (
-        routes[kind, method](kind, MAX_N, 200) for method in ("recurrence", "series", "det")
-    )
-    assert recurrence == series == det
-    assert [residue(v) for v in recurrence] == numbers_mod_p(kind.value, MAX_N, 200)

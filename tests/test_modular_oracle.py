@@ -7,17 +7,20 @@ r_0 = 1, r_m = -sum_{k=1}^m a_k r_{m-k} on residues: small-int arithmetic,
 with no code shared with the package (``helpers.numbers_mod_p``).  Every denominator here divides a
 product of integers below 2N + n + 2, far below p, so every exact value has a
 residue.  Each ``compute`` method's exact table is reduced mod p and compared
-with the oracle: the determinant route at N = 10000, the recurrence and
-determinant routes of comp-hg-euler N = 3 to n = 300, the recurrence and
+with the oracle: the determinant route at N = 10000, the recurrence, series
+and determinant routes of both Euler types at N = 10000 to n = 200, the
+recurrence and determinant routes of comp-hg-euler N = 3 to n = 300, the recurrence and
 series routes of hg-bernoulli N = 7 and hg-cauchy N = 5 to n = 200, and the
 composition and Trudi expansions at their caps.  These are the sizes where
 the integer kernels' common denominators and rescaling do the most work.
 """
 
+from collections import OrderedDict
 from fractions import Fraction as F
 
 import pytest
 
+from hgnum import families
 from hgnum.closed_forms import table_routes
 from hgnum.families import FamilyKind
 
@@ -40,7 +43,12 @@ def test_oracle_gives_the_classical_numbers(family, N, want):
 @pytest.mark.parametrize(
     "family, N, method, nmax",
     [
-        ("hg-euler", 10000, "det", 30),
+        ("hg-euler", 10000, "recurrence", 200),
+        ("hg-euler", 10000, "series", 200),
+        ("hg-euler", 10000, "det", 200),
+        ("comp-hg-euler", 10000, "recurrence", 200),
+        ("comp-hg-euler", 10000, "series", 200),
+        ("comp-hg-euler", 10000, "det", 200),
         ("hg-bernoulli", 10000, "det", 30),
         ("hg-cauchy", 10000, "det", 150),
         ("comp-hg-euler", 3, "recurrence", 300),
@@ -55,7 +63,9 @@ def test_oracle_gives_the_classical_numbers(family, N, want):
         ("hg-euler", 1, "binomial", 80),
     ],
 )
-def test_every_method_agrees_mod_p(family, N, method, nmax):
+def test_every_method_agrees_mod_p(monkeypatch, family, N, method, nmax):
+    # the recurrence route builds its table here, not in an earlier test
+    monkeypatch.setattr(families, "_memo", OrderedDict())
     kind = FamilyKind(family)
     got = table_routes()[kind, method](kind, N, nmax)
     assert [residue(v) for v in got] == numbers_mod_p(family, N, nmax)
