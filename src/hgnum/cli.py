@@ -41,8 +41,8 @@ EXIT_VERIFY_FAILED = 4
 
 _METHODS = tuple(dict.fromkeys(method for _, method in closed_forms.table_routes()))
 
-# The largest ``compute --max-n``.  At 1000 on a 2-CPU VM, hg-cauchy by series
-# takes about 3 s at N = 1 and 85 s at N = 10000 (its recurrence 62 s).
+# The largest ``compute --max-n``.  At 1000 on a shared 2-CPU VM, hg-cauchy by
+# series takes about 5 s at N = 1 and 145 s at N = 10000 (its recurrence 96 s).
 MAX_COMPUTE_N = 1000
 # ``verify`` refuses a ``--max-n`` above this many times the suite's default.
 SUITE_BOUND_FACTOR = 10

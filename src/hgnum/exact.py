@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import Iterator, Sequence
 
 ZERO = Fraction(0)
@@ -69,7 +71,7 @@ def convolve(
     The factor C(n, i) is there only with ``egf`` (the product of two
     exponential generating functions) and weight[i] only with ``weight``.
     Each column is taken as integer numerators over one common denominator,
-    so the double loop runs on plain ints and skips zero entries; each c_n
+    the product runs on plain ints (:func:`int_convolve`), and each c_n
     becomes a Fraction once, at the end.
     """
     if nmax < 0:
@@ -80,19 +82,39 @@ def convolve(
         raise InvalidParameter(f"convolution to index {nmax} needs {nmax + 1} entries per column")
     if weight is not None:
         a_num = [x * weight[i] for i, x in enumerate(a_num)]
-    a_nonzero = [(i, x) for i, x in enumerate(a_num) if x]
     den = a_den * b_den * divisor
-    comb = math.comb
-    out = []
-    for n in range(nmax + 1):
-        acc = 0
-        for i, x in a_nonzero:
-            if i > n:
-                break
-            y = b_num[n - i]
-            if y:
-                acc += comb(n, i) * x * y if egf else x * y
-        out.append(Fraction(acc, den))
+    return [Fraction(c, den) if c else ZERO for c in int_convolve(a_num, b_num, 0, nmax, egf=egf)]
+
+
+def int_convolve(a: list[int], b: list[int], lo: int, hi: int, *, egf: bool = False) -> list[int]:
+    """c_lo..c_hi of c_n = sum_i C(n, i) a_i b_{n-i} (C(n, i) only with ``egf``;
+    entries past a column are 0).  Under 32 of them, where building slices
+    costs more than it saves, a loop over a's nonzero entries skips zero
+    b_{n-i}; from 32 on each c_n is one dot product over slices, which step by
+    2 if a is 0 at every odd index (an n whose b_{n-i} are then all 0 gives 0)."""
+    if hi - lo < 32:
+        b = b + [0] * (hi + 1 - len(b))
+        nonzero, out = [(i, x) for i, x in enumerate(a[: hi + 1]) if x], []
+        for n in range(lo, hi + 1):
+            acc = 0
+            for i, x in nonzero:
+                if i > n:
+                    break
+                if y := b[n - i]:
+                    acc += math.comb(n, i) * x * y if egf else x * y
+            out.append(acc)
+        return out
+    s = 1 if any(a[1::2]) else 2
+    live = (s == 1 or any(b[::2]), s == 1 or any(b[1::2]))
+    last, la, b_rev, out = len(b) - 1, len(a), b[::-1], [0] * (hi + 1 - lo)
+    for n in range(lo, hi + 1):
+        if live[n % 2]:
+            i0, i1, j = (n - last if n > last else 0), (n + 1 if n < la else la), last - n
+            i0 += i0 % s
+            terms = map(mul, a[i0:i1:s], b_rev[j + i0 : j + i1 : s])
+            if egf:
+                terms = map(mul, map(math.comb, repeat(n), range(i0, i1, s)), terms)
+            out[n - lo] = sum(terms)
     return out
 
 

@@ -21,6 +21,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable
 
 from .exact import InvalidParameter, ONE
@@ -110,7 +111,7 @@ def _over_running_lcm(nmax: int,
         values.append(v)
         grown = math.lcm(lcm, v.denominator)
         if grown != lcm:
-            scaled = [y * (grown // lcm) for y in scaled]
+            scaled = list(map((grown // lcm).__mul__, scaled))
             lcm = grown
         scaled.append(v.numerator * (lcm // v.denominator))
     return tuple(values)
@@ -119,16 +120,16 @@ def _over_running_lcm(nmax: int,
 def _binomial_recurrence(w: int, stride: int, nmax: int) -> tuple[Fraction, ...]:
     """sum_{k <= n, k = n mod stride} C(w+n, k) v_k = [n = 0]: F(t) V(t) = 1
     read at t^{w+n}, since t^w F(t) is w! times e^t, cosh t or sinh t less
-    its Taylor polynomial below degree w.  The values off the stride are 0."""
+    its Taylor polynomial below degree w.  The values off the stride are 0.
+    Each sum is a dot product with the row C(w+n, 0..n), advanced by Pascal's
+    rule, on the stride."""
+    row = [1]
     def step(n: int, scaled: list[int]) -> tuple[int, int]:
+        nonlocal row
+        row = [*map(add, row, [0, *row]), row[-1] * (w + n) // n]
         if n % stride:
             return 0, 1
-        c, acc = 1, 0  # c = C(w+n, k)
-        for k in range(n):
-            if k % stride == 0:
-                acc += c * scaled[k]
-            c = c * (w + n - k) // (k + 1)
-        return -acc, c
+        return -sum(map(mul, row[::stride], scaled[::stride])), row[n]
     return _over_running_lcm(nmax, step)
 
 

@@ -3,8 +3,8 @@
 A :class:`TruncatedSeries` knows its coefficients c_0..c_M exactly and nothing
 beyond t^M.  Arithmetic truncates to the smallest order among the operands;
 differentiation loses one order.  All values are immutable.  The class has the
-operations the families and the identity checkers use (products and the Newton
-reciprocal on :func:`~hgnum.exact.convolve`) and the paper's Hasse-Teichmuller
+operations the families and the identity checkers use (products, and the Newton
+reciprocal on :func:`~hgnum.exact.int_convolve`) and the paper's Hasse-Teichmuller
 (divided-power) derivative, which the acceptance tests check.
 
 The module also provides constructors for every generating function the number
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import InvalidParameter, ONE, ZERO, convolve, factorial
+from .exact import InvalidParameter, ONE, ZERO, convolve, factorial, int_convolve, numerators
 
 
 class ZeroConstantTerm(ValueError):
@@ -70,15 +70,19 @@ class TruncatedSeries:
         """Series r with self * r = 1 up to the truncation order, by Newton's
         iteration r <- r (2 - self r) (Brent and Harvey, arXiv:1108.0286): if r
         is right to t^{p-1}, self r = 1 + t^p e and r - t^p r e is right to
-        t^{2p-1}, one convolution each for e and r e."""
+        t^{2p-1}.  On int numerators, each doubling takes only e_p..e_{q-1}
+        (the middle product), reduced by one gcd, and then r e."""
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroConstantTerm("series has zero constant term")
-        r, p = [ONE / c0], 1
+        (f, f_den), r, p = numerators(self.coeffs), [ONE / c0], 1
         while p <= self.order:
             q = min(2 * p, self.order + 1)
-            e = convolve(self.coeffs[:q], r + [ZERO] * (q - p), q - 1)[p:]
-            r += [-x for x in convolve(r[: q - p], e, q - p - 1)]
+            r_num, r_den = numerators(r)
+            e = int_convolve(f, r_num, p, q - 1)  # over f_den r_den
+            g = math.gcd(f_den * r_den, *e)
+            den = r_den * (f_den * r_den // g)
+            r += [Fraction(-x, den) for x in int_convolve(r_num, [x // g for x in e], 0, q - p - 1)]
             p = q
         return TruncatedSeries(tuple(r))
 
@@ -159,8 +163,7 @@ def gen_sin(order: int) -> TruncatedSeries:
     cs = [ZERO] * (order + 1)
     for n in range((order + 1) // 2):
         k = 2 * n + 1
-        if k <= order:
-            cs[k] = Fraction((-1) ** n) / factorial(k)
+        cs[k] = Fraction((-1) ** n) / factorial(k)
     return TruncatedSeries(tuple(cs))
 
 

@@ -1,0 +1,141 @@
+"""Mutation check for the integer kernels, run as a CI job of its own.
+
+    python tests/mutation_check.py [module ...]     # default: exact series families
+
+Each mutant of ``src/hgnum/<module>.py`` changes one thing: it swaps one
+``+``/``-`` or ``*``/``//``, turns one comparison into its neighbour, or adds
+1 to one int constant.  The module's tests then run with ``-x`` on a copy of
+the tree in a temporary directory, so the checkout is never rewritten; a
+mutant whose tests run past two minutes (a loop that no longer ends), or past
+1 GiB of address space (a loop that fills a list), counts as killed.  The
+check fails if a mutant survives that is not in ``EQUIVALENT``, where each
+entry says why that mutant cannot change a value, and if an entry for a
+module it ran matches no survivor, or more than one.
+"""
+
+import ast
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the tests of any one module stay under 100 MB; the bound keeps a mutant
+# that loops while filling a list from taking the machine's memory
+MEMORY_LIMIT = 1 << 30
+# module -> its tests, the quick ones first since -x stops at the first failure
+TESTS = {
+    "exact": ["test_exact.py", "test_convolution.py", "test_integer_kernels.py"],
+    "series": ["test_series.py", "test_brent_harvey.py", "test_integer_kernels.py",
+               "test_series_identities.py"],
+    "families": ["test_families.py", "test_family_spec.py", "test_table_memo.py",
+                 "test_integer_kernels.py", "test_modular_oracle.py"],
+}
+SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
+        ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+# "module: source line :: before -> after": why the mutant computes the same values
+EQUIVALENT = {
+    "exact: if t > 1: :: t > 1 -> t >= 1": "dividing by 1! changes nothing",
+    "exact: if min(ts, default=0) < 0: :: 0 -> 1": "an empty ts is not negative either way",
+    "exact: b_num, b_den = numerators(b[: nmax + 1]) :: 1 -> 2":
+        "an entry of b past nmax enters only the common denominator, which cancels",
+    "exact: if hi - lo < 32: :: hi - lo < 32 -> hi - lo <= 32":
+        "the bound only picks which of two equal loops runs",
+    "exact: if hi - lo < 32: :: hi - lo -> hi + lo": "the bound only picks which of two equal loops runs",
+    "exact: if hi - lo < 32: :: 32 -> 33": "the bound only picks which of two equal loops runs",
+    "exact: b = b + [0] * (hi + 1 - len(b)) :: 1 -> 2": "b_{hi+1} is never read",
+    "exact: b = b + [0] * (hi + 1 - len(b)) :: hi + 1 - len(b) -> hi + 1 + len(b)":
+        "zeros past b_hi are never read",
+    "exact: nonzero, out = [(i, x) for i, x in enumerate(a[: hi + 1]) if x], [] :: 1 -> 2":
+        "an entry of a past hi is never reached: the loop stops at i > n",
+    "exact: i0, i1, j = (n - last if n > last else 0), (n + 1 if n < la else la), last - n"
+    " :: n > last -> n >= last": "at n = last both give i0 = 0",
+    "exact: i0, i1, j = (n - last if n > last else 0), (n + 1 if n < la else la), last - n"
+    " :: n < la -> n <= la": "the a slice may run one past its column's end, where it stops",
+    "exact: i0, i1, j = (n - last if n > last else 0), (n + 1 if n < la else la), last - n"
+    " :: 1 -> 2": "the one extra a entry has no b partner: the b slice ends at b_0",
+    "series: e = int_convolve(f, r_num, p, q - 1)  # over f_den r_den :: q - 1 -> q + 1":
+        "the two extra entries of e enter only the gcd, which still divides the rest",
+    "series: return TruncatedSeries((ZERO,) + self.coeffs[:-1] if self.order > 0 else (ZERO,))"
+    " :: self.order > 0 -> self.order >= 0": "at order 0 both branches give (0,)",
+    "families: den = 1 :: 1 -> 2": "any common multiple of N+1..N+n serves as D and cancels",
+    "families: row = [1] :: 1 -> 2":
+        "a doubled row stays doubled under Pascal's rule and cancels in sum / C(w+n, n)",
+    "families: if held is None or len(held) < len(values): :: len(held) < len(values)"
+    " -> len(held) <= len(values)": "an entry of the same length holds the same values",
+    "families: return 0, 1 :: 1 -> 2": "off the stride the value is 0 over any denominator",
+    "families: acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1) :: n - k -> n + k":
+        "n - k and n + k have the same parity",
+}
+
+
+def mutations(tree):
+    """(node, field, mutated value of that field) for every mutation point."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAP:
+            yield node, "op", SWAP[type(node.op)]()
+        elif isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in SWAP:
+                    yield node, "ops", [*node.ops[:i], SWAP[type(op)](), *node.ops[i + 1:]]
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            yield node, "value", node.value + 1
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def check(module, tree_dir):
+    path = tree_dir / "src" / "hgnum" / f"{module}.py"
+    source = path.read_text()
+    lines, tree = source.splitlines(), ast.parse(source)
+    tests = [f"tests/{name}" for name in TESTS[module]]
+    survivors = []
+    for count, (node, field, value) in enumerate(list(mutations(tree)), 1):
+        before, old = ast.unparse(node), getattr(node, field)
+        setattr(node, field, value)
+        key = f"{module}: {lines[node.lineno - 1].strip()} :: {before} -> {ast.unparse(node)}"
+        path.write_text(ast.unparse(tree))
+        setattr(node, field, old)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--hypothesis-seed=0", *tests],
+                cwd=tree_dir, env=dict(os.environ, PYTHONPATH="src"),
+                capture_output=True, timeout=120, preexec_fn=limit_memory,
+            )
+            killed = run.returncode != 0
+        except subprocess.TimeoutExpired:
+            killed = True
+        if not killed:
+            survivors.append(key)
+        print(f"{count:4d} {'killed' if killed else 'SURVIVED'}  {key}", flush=True)
+    path.write_text(source)
+    return survivors
+
+
+def main(modules):
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_dir = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree_dir / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        survivors = Counter(key for module in modules for key in check(module, tree_dir))
+    problems = [f"unexpected survivor: {key}" for key in survivors if key not in EQUIVALENT]
+    problems += [
+        f"listed as equivalent, but {survivors[key]} survivors match: {key}"
+        for key in EQUIVALENT if key.split(":")[0] in modules and survivors[key] != 1
+    ]
+    for line in problems:
+        print(line)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:] or list(TESTS)))

@@ -255,8 +255,9 @@ def convolution_cases(draw):
     a = draw(st.lists(entries, min_size=length, max_size=length + 3))
     b = draw(st.lists(entries, min_size=length, max_size=length + 3))
     nmax = draw(st.integers(0, length - 1))
+    # the weight has only the nmax + 1 entries c_0..c_nmax read, often fewer than a
     weight = draw(st.one_of(st.none(), st.lists(
-        st.integers(-40, 40), min_size=len(a), max_size=len(a))))
+        st.integers(-40, 40), min_size=nmax + 1, max_size=nmax + 1)))
     return a, b, nmax, draw(st.booleans()), weight, draw(st.integers(1, 60))
 
 

@@ -57,6 +57,7 @@ def test_spec_least_N_and_stride(kind):
 
 @KINDS
 def test_N_above_the_bound_is_refused(kind):
+    assert MAX_N == 10_000  # the bound the README and the CLI state
     FamilyId(kind, MAX_N)
     with pytest.raises(InvalidParameter, match=f"needs N <= {MAX_N}, got {MAX_N + 1}$"):
         FamilyId(kind, MAX_N + 1)

@@ -1,17 +1,18 @@
 """The integer-numerator kernels against the Fraction loops they replaced,
 which are kept here or in ``helpers`` as references."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgnum.closed_forms import _composition_sum
-from hgnum.exact import partition_multiplicities
+from hgnum.exact import int_convolve, partition_multiplicities
 from hgnum.families import SPECS, FamilyId, FamilyKind
 from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
-from hgnum.series import TruncatedSeries
+from hgnum.series import TruncatedSeries, gen_f, gen_fhat
 from helpers import EULER_KINDS, all_compositions, even_convolution_recurrence, forward_reciprocal
 
 
@@ -141,3 +142,61 @@ def test_newton_reciprocal_matches_the_forward_loop(coeffs):
 def test_newton_reciprocal_of_each_denominator(family, order):
     denominator = family.spec.denominator(family.N, order)
     assert denominator.reciprocal() == forward_reciprocal(denominator)
+
+
+# The Newton reciprocal doubles the known prefix, p -> q = min(2p, order + 1),
+# and computes only e_p..e_{q-1} of self * r: at orders 2^k - 1 the last
+# doubling ends exactly, at 2^k it leaves one entry, at 2^k + 1 two.
+EDGE_ORDERS = sorted({2**k + d for k in range(8) for d in (-1, 0, 1)})
+
+
+def edge_series(order):
+    """c_0 not a unit, mixed signs and zeros; 1 + t^5, a run of zeros after
+    c_0; and both Euler denominators, zero at every odd index."""
+    yield TruncatedSeries(
+        (F(-3, 5),) + tuple(F((-1) ** k * (k % 7), k % 4 + 1) for k in range(1, order + 1))
+    )
+    yield TruncatedSeries(tuple(F(int(k in (0, 5))) for k in range(order + 1)))
+    yield gen_f(3, order)
+    yield gen_fhat(3, order)
+
+
+@pytest.mark.parametrize("order", EDGE_ORDERS)
+def test_newton_reciprocal_at_each_doubling_edge(order):
+    for series in edge_series(order):
+        assert series.reciprocal() == forward_reciprocal(series)
+
+
+def full_product(a, b, egf):
+    """Every coefficient of a * b that can be nonzero, by the double loop."""
+    c = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += (math.comb(i + j, i) if egf else 1) * x * y
+    return c
+
+
+# Int columns with zeros and negatives; some zero at every odd index or at
+# every even index, which int_convolve steps over or skips.  Ranges of fewer
+# than 32 coefficients take its per-term loop, longer ones its dot products.
+ints = st.lists(st.one_of(st.just(0), st.integers(-10**12, 10**12)), max_size=40)
+columns = st.one_of(
+    ints,
+    ints.map(lambda xs: [x if i % 2 == 0 else 0 for i, x in enumerate(xs)]),
+    ints.map(lambda xs: [x if i % 2 else 0 for i, x in enumerate(xs)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns, columns, st.integers(0, 40), st.integers(-1, 80), st.booleans())
+# a zero at odd indices, and b nonzero only where a stride-3 slice would
+# miss, on each side of the 32-coefficient switch
+@example([1, 0, 1], [0, 0, 5], 0, 6, False)
+@example([1, 0, 1], [0, 0, 0, 5], 0, 6, True)
+@example([1, 0, 1], [0, 0, 5], 0, 40, False)
+@example([1, 0, 1], [0, 0, 0, 5], 0, 40, True)
+def test_int_convolve_range_is_that_slice_of_the_full_product(a, b, lo, hi, egf):
+    full = full_product(a, b, egf) + [0] * (hi + 1)
+    got = int_convolve(a, b, lo, hi, egf=egf)
+    assert got == full[lo : hi + 1]
+    assert all(type(c) is int for c in got)

@@ -7,7 +7,9 @@ are separate kernels, so each of them changes one method and ``all`` exits 3.
 For the Euler types every other method has a kernel of its own too.  For
 hg-bernoulli and hg-cauchy the Hessenberg determinants also serve ``trudi``,
 so that kernel changes two methods, and the Euler-only kernels and the other
-family's recurrence change nothing.
+family's recurrence change nothing.  One kernel is shared on purpose: the
+integer product loop ``int_convolve`` runs the Newton reciprocal's products
+and, through ``exact.convolve``, the binomial route's chain of powers.
 """
 
 import csv
@@ -17,23 +19,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum import closed_forms, families
+from hgnum import closed_forms, exact, families, series
 from hgnum.cli import EXIT_MISMATCH, EXIT_OK, main
 from hgnum.families import SPECS, FamilyKind
 from hgnum.series import TruncatedSeries
 
 MAX_N = 12  # even, so the last index is a value of every family
 
-# kernel -> where the routes look it up
+# kernel -> every place the routes look it up
 KERNELS = {
-    "_over_running_lcm": families,
-    "_binomial_recurrence": families,
-    "_cauchy_recurrence": families,
-    "reciprocal": TruncatedSeries,
-    "hessenberg_det_prefixes": closed_forms,
-    "trudi_expand": closed_forms,
-    "_composition_sum": closed_forms,
-    "_power_chain": closed_forms,
+    "_over_running_lcm": (families,),
+    "_binomial_recurrence": (families,),
+    "_cauchy_recurrence": (families,),
+    "reciprocal": (TruncatedSeries,),
+    "int_convolve": (exact, series),
+    "hessenberg_det_prefixes": (closed_forms,),
+    "trudi_expand": (closed_forms,),
+    "_composition_sum": (closed_forms,),
+    "_power_chain": (closed_forms,),
 }
 
 EULER_METHODS = {
@@ -41,6 +44,7 @@ EULER_METHODS = {
     "_binomial_recurrence": {"recurrence"},
     "_cauchy_recurrence": set(),
     "reciprocal": {"series"},
+    "int_convolve": {"series", "binomial"},
     "hessenberg_det_prefixes": {"det"},
     "trudi_expand": {"trudi"},
     "_composition_sum": {"explicit"},
@@ -53,6 +57,7 @@ STRIDE1_METHODS = {
         "_over_running_lcm": {"recurrence"},
         own: {"recurrence"},
         "reciprocal": {"series"},
+        "int_convolve": {"series"},
         "hessenberg_det_prefixes": {"det", "trudi"},
     }
     for kind, own in (
@@ -63,9 +68,12 @@ STRIDE1_METHODS = {
 
 
 def nudge(result):
-    """The kernel's result with its last number moved by 1/7."""
+    """The kernel's result with its last number moved by 1/7, or by 1 if it
+    is an int."""
     if isinstance(result, TruncatedSeries):
         return TruncatedSeries(nudge(result.coeffs))
+    if isinstance(result, int):
+        return result + 1
     if isinstance(result, F):
         return result + F(1, 7)
     *head, last = result
@@ -91,9 +99,11 @@ def compute_all(monkeypatch, capsys, kind):
 def test_a_broken_kernel_changes_only_its_methods(monkeypatch, capsys, kind, kernel):
     code, err, clean = compute_all(monkeypatch, capsys, kind)
     assert (code, err) == (EXIT_OK, "")
-    owner = KERNELS[kernel]
-    real = getattr(owner, kernel)
-    monkeypatch.setattr(owner, kernel, lambda *args: nudge(real(*args)))
+    owners = KERNELS[kernel]
+    real = getattr(owners[0], kernel)
+    for owner in owners:
+        assert getattr(owner, kernel) is real
+        monkeypatch.setattr(owner, kernel, lambda *args, **kw: nudge(real(*args, **kw)))
     code, err, broken = compute_all(monkeypatch, capsys, kind)
     assert broken.keys() == clean.keys()
     changed = {m for m in clean if broken[m] != clean[m]}

@@ -7,10 +7,11 @@ r_0 = 1, r_m = -sum_{k=1}^m a_k r_{m-k} on residues: small-int arithmetic,
 with no code shared with the package (``helpers.numbers_mod_p``).  Every denominator here divides a
 product of integers below 2N + n + 2, far below p, so every exact value has a
 residue.  Each ``compute`` method's exact table is reduced mod p and compared
-with the oracle: the determinant route at N = 10000, the recurrence, series
-and determinant routes of both Euler types at N = 10000 to n = 200, the
-recurrence and determinant routes of comp-hg-euler N = 3 to n = 300, the recurrence and
-series routes of hg-bernoulli N = 7 and hg-cauchy N = 5 to n = 200, and the
+with the oracle: the determinant route at N = 10000, the recurrence and
+series routes of every family at N = 10000 to n = 200 (and the Euler types'
+determinant route there too), the recurrence and determinant routes of
+comp-hg-euler N = 3 to n = 300, the recurrence and series routes of
+hg-bernoulli N = 7 and hg-cauchy N = 5 to n = 200, and the
 composition and Trudi expansions at their caps.  These are the sizes where
 the integer kernels' common denominators and rescaling do the most work.
 """
@@ -49,7 +50,11 @@ def test_oracle_gives_the_classical_numbers(family, N, want):
         ("comp-hg-euler", 10000, "recurrence", 200),
         ("comp-hg-euler", 10000, "series", 200),
         ("comp-hg-euler", 10000, "det", 200),
+        ("hg-bernoulli", 10000, "recurrence", 200),
+        ("hg-bernoulli", 10000, "series", 200),
         ("hg-bernoulli", 10000, "det", 30),
+        ("hg-cauchy", 10000, "recurrence", 200),
+        ("hg-cauchy", 10000, "series", 200),
         ("hg-cauchy", 10000, "det", 150),
         ("comp-hg-euler", 3, "recurrence", 300),
         ("comp-hg-euler", 3, "det", 300),

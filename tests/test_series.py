@@ -85,7 +85,12 @@ class TestReciprocal:
 
 class TestDerivative:
     def test_constant(self):
-        assert is_zero(monomial(0, 0).derivative())
+        d = monomial(0, 0).derivative()
+        assert is_zero(d) and d.order == 0
+
+    def test_times_t_keeps_the_order(self):
+        assert series_from_ints([3]).times_t() == series_from_ints([0])
+        assert series_from_ints([3, 5]).times_t() == series_from_ints([0, 3])
 
     def test_cosh_to_sinh(self):
         d = gen_cosh(13).derivative()
@@ -103,6 +108,11 @@ class TestHasseTeichmuller:
     def test_order_zero_is_identity(self):
         s = series_from_ints([2, 7, 1, 8])
         assert s.hasse_teichmuller(0) == s
+
+    def test_at_and_past_the_truncation_order(self):
+        s = series_from_ints([2, 7, 1, 8])
+        assert s.hasse_teichmuller(3) == series_from_ints([8])
+        assert s.hasse_teichmuller(4) == series_from_ints([0])
 
     def test_cubic(self):
         t3 = monomial(3, 5)
@@ -169,6 +179,7 @@ class TestGenerators:
 
     def test_sin_cos_pythagoras(self):
         order = 14
+        assert gen_sin(order).order == gen_cos(order).order == order
         lhs = gen_sin(order) * gen_sin(order) + gen_cos(order) * gen_cos(order)
         assert lhs == monomial(0, order)
 

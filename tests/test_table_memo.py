@@ -47,6 +47,9 @@ def test_longer_request_replaces_the_entry():
     family = FamilyId(FamilyKind.HG_EULER, 2)
     table(family, 5)
     assert len(families._memo[family]) == 6
+    # one index past the entry is a new build, not a prefix
+    assert table(family, 6).values == fresh(family, 6)
+    assert len(families._memo[family]) == 7
     assert table(family, 12).values == fresh(family, 12)
     assert len(families._memo[family]) == 13
     table(family, 3)
