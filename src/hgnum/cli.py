@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``compute`` — emit a number table by any method (or all of them) as CSV or
-  JSON records ``family,N,n,method,value`` with exact ``p/q`` values.  ``all``
+  JSON records ``family,N,n,method,value`` with exact ``p/q`` values (the CSV
+  as ``csv.writer`` writes it: CRLF line ends, no field quoted).  ``all``
   runs each route once; for hg-bernoulli and hg-cauchy the det route gives
   both the ``det`` and the ``trudi`` column.
 * ``table1`` — recompute the published 7 x 8 table and diff it against the
@@ -17,10 +18,8 @@ table mismatch, 4 identity suite failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
-import io
 import json
 import os
 import sys
@@ -62,15 +61,14 @@ def _check_max_n(nmax: int, bound: int = MAX_COMPUTE_N, label: str = "--max-n") 
 
 
 def _write_records(rows: list[tuple], fmt: str, out_path: str | None) -> None:
-    buf = io.StringIO()
     if fmt == "csv":
-        writer = csv.writer(buf)
-        writer.writerow(_FIELDS)
-        writer.writerows(rows)
+        # The bytes csv.writer gives: no field can hold a comma, a quote or a
+        # line break, so none is quoted, and each record ends in \r\n.
+        lines = [f"{k},{N},{n},{m},{v}\r\n" for k, N, n, m, v in rows]
+        text = ",".join(_FIELDS) + "\r\n" + "".join(lines)
     else:
-        json.dump([dict(zip(_FIELDS, row)) for row in rows], buf, indent=2)
-        buf.write("\n")
-    _emit(buf.getvalue(), out_path)
+        text = json.dumps([dict(zip(_FIELDS, row)) for row in rows], indent=2) + "\n"
+    _emit(text, out_path)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -114,8 +112,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     ]
     _write_records(rows, args.format, args.out)
     baseline = columns[methods[0]]
-    for m, vals in columns.items():
-        for n, (a, b) in enumerate(zip(baseline, vals)):
+    for m in methods[1:]:
+        for n, (a, b) in enumerate(zip(baseline, columns[m])):
             if a != b:
                 _stderr(
                     f"disagreement at n={n}: {methods[0]}={format_rational(a)} "

@@ -118,6 +118,24 @@ def int_convolve(a: list[int], b: list[int], lo: int, hi: int, *, egf: bool = Fa
     return out
 
 
+def chain_convolve(
+    a: list[int], s: int, rho: list[int], b: list[int], lo: int, hi: int
+) -> list[int]:
+    """c_lo..c_hi of a * b, as :func:`int_convolve` gives them, for a chain a:
+    a_{sj} with a_{s(j-1)} = rho[j] a_{sj} for 0 < j < len(rho) (rho[0] only
+    multiplies 0), and 0 at every other index.  Then c_n = a_{sJ} times the
+    sum of rho[j+1]...rho[J] b_{n-sj}, J = min(n // s, len(rho) - 1), which
+    Horner's rule takes by products with the small ints rho[j] in place of the
+    big a_{sj} b_{n-sj}."""
+    out, last = [], len(rho) - 1
+    for n in range(lo, hi + 1):
+        top, acc = min(n // s, last), 0
+        for j in range(max(0, (n - len(b)) // s + 1), top + 1):
+            acc = acc * rho[j] + b[n - s * j]
+        out.append(acc * a[s * top])
+    return out
+
+
 def compositions(total: int, min_part: int, length: int) -> Iterator[tuple[int, ...]]:
     """Tuples of ``length`` integers >= min_part summing to ``total``, in
     lexicographic order."""

@@ -4,8 +4,10 @@ A :class:`TruncatedSeries` knows its coefficients c_0..c_M exactly and nothing
 beyond t^M.  Arithmetic truncates to the smallest order among the operands;
 differentiation loses one order.  All values are immutable.  The class has the
 operations the families and the identity checkers use (products, and the Newton
-reciprocal on :func:`~hgnum.exact.int_convolve`) and the paper's Hasse-Teichmuller
-(divided-power) derivative, which the acceptance tests check.
+reciprocal on :func:`~hgnum.exact.int_convolve`, whose middle products run on
+:func:`~hgnum.exact.chain_convolve` where the series is hypergeometric) and the
+paper's Hasse-Teichmuller (divided-power) derivative, which the acceptance
+tests check.
 
 The module also provides constructors for every generating function the number
 families and identity checkers need: the even-coefficient family with
@@ -21,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import InvalidParameter, ONE, ZERO, convolve, factorial, int_convolve, numerators
+from .exact import (
+    InvalidParameter, ONE, ZERO, chain_convolve, convolve, factorial, int_convolve, numerators,
+)
 
 
 class ZeroConstantTerm(ValueError):
@@ -71,15 +75,24 @@ class TruncatedSeries:
         iteration r <- r (2 - self r) (Brent and Harvey, arXiv:1108.0286): if r
         is right to t^{p-1}, self r = 1 + t^p e and r - t^p r e is right to
         t^{2p-1}.  On int numerators, each doubling takes only e_p..e_{q-1}
-        (the middle product), reduced by one gcd, and then r e."""
+        (the middle product), reduced by one gcd, and then r e.  If each
+        numerator of self on its stride divides the one before (a
+        hypergeometric term ratio), the middle product is a chain product."""
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroConstantTerm("series has zero constant term")
         (f, f_den), r, p = numerators(self.coeffs), [ONE / c0], 1
+        s = 1 if any(f[1::2]) else 2
+        on = f[::s]
+        chain = all(on) and not any(x % y for x, y in zip(on, on[1:]))
+        rho = [x // y for x, y in zip([0] + on, on)] if chain else None
         while p <= self.order:
             q = min(2 * p, self.order + 1)
             r_num, r_den = numerators(r)
-            e = int_convolve(f, r_num, p, q - 1)  # over f_den r_den
+            if chain:
+                e = chain_convolve(f, s, rho, r_num, p, q - 1)  # over f_den r_den
+            else:
+                e = int_convolve(f, r_num, p, q - 1)
             g = math.gcd(f_den * r_den, *e)
             den = r_den * (f_den * r_den // g)
             r += [Fraction(-x, den) for x in int_convolve(r_num, [x // g for x in e], 0, q - p - 1)]

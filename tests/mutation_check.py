@@ -59,8 +59,13 @@ EQUIVALENT = {
     " :: n < la -> n <= la": "the a slice may run one past its column's end, where it stops",
     "exact: i0, i1, j = (n - last if n > last else 0), (n + 1 if n < la else la), last - n"
     " :: 1 -> 2": "the one extra a entry has no b partner: the b slice ends at b_0",
-    "series: e = int_convolve(f, r_num, p, q - 1)  # over f_den r_den :: q - 1 -> q + 1":
+    "series: e = chain_convolve(f, s, rho, r_num, p, q - 1)  # over f_den r_den"
+    " :: q - 1 -> q + 1":
         "the two extra entries of e enter only the gcd, which still divides the rest",
+    "series: e = int_convolve(f, r_num, p, q - 1) :: q - 1 -> q + 1":
+        "the two extra entries of e enter only the gcd, which still divides the rest",
+    "series: rho = [x // y for x, y in zip([0] + on, on)] if chain else None :: 0 -> 1":
+        "rho[0] only multiplies chain_convolve's initial 0",
     "series: return TruncatedSeries((ZERO,) + self.coeffs[:-1] if self.order > 0 else (ZERO,))"
     " :: self.order > 0 -> self.order >= 0": "at order 0 both branches give (0,)",
     "families: den = 1 :: 1 -> 2": "any common multiple of N+1..N+n serves as D and cancels",

@@ -50,6 +50,29 @@ class TestCompute:
         # six method records per n for the main family
         assert sum(1 for r in rows if r["n"] == "4") == 6
 
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_csv_bytes_are_what_csv_writer_writes(self, capsys, kind):
+        # the largest --max-n that ``all`` admits: long and negative p/q values
+        max_n = 60 if kind in (FamilyKind.HG_BERNOULLI, FamilyKind.HG_CAUCHY) else 30
+        code, out, _ = run(
+            capsys, "compute", "--family", kind.value, "--N", "3", "--max-n", str(max_n),
+            "--method", "all",
+        )
+        assert code == EXIT_OK
+        routes = closed_forms.table_routes()
+        methods = sorted(m for k, m in routes if k is kind)
+        columns = {m: routes[kind, m](kind, 3, max_n) for m in methods}
+        rows = [
+            (kind.value, 3, n, m, format_rational(columns[m][n]))
+            for n in range(max_n + 1)
+            for m in methods
+        ]
+        want = io.StringIO()
+        csv.writer(want).writerows([("family", "N", "n", "method", "value"), *rows])
+        assert out == want.getvalue()
+        values = [row[-1] for row in rows]
+        assert any(v.startswith("-") for v in values) and max(map(len, values)) > 40
+
     def test_single_trivial_record(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--family", "hg-euler", "--N", "0", "--max-n", "0",

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgnum.closed_forms import _composition_sum
-from hgnum.exact import int_convolve, partition_multiplicities
+from hgnum.exact import chain_convolve, int_convolve, partition_multiplicities
 from hgnum.families import SPECS, FamilyId, FamilyKind
 from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
-from hgnum.series import TruncatedSeries, gen_f, gen_fhat
+from hgnum.series import TruncatedSeries, gen_f, gen_fhat, gen_hgbernoulli_denom, gen_hgcauchy_denom
 from helpers import EULER_KINDS, all_compositions, even_convolution_recurrence, forward_reciprocal
 
 
@@ -108,10 +108,13 @@ def family_ids(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(family_ids(), st.integers(0, 120))
-def test_number_recurrence_matches_the_forward_reciprocal(family, nmax):
-    got = family.spec.recurrence(family.N, nmax)
+def test_number_recurrence_and_newton_reciprocal_match_the_forward_reciprocal(family, nmax):
+    # the Fraction reference, most of the cost at N = 10000, built once
     denominator = family.spec.denominator(family.N, nmax)
-    assert got == forward_reciprocal(denominator).egf_values()
+    want = forward_reciprocal(denominator)
+    assert denominator.reciprocal() == want
+    got = family.spec.recurrence(family.N, nmax)
+    assert got == want.egf_values()
     assert all(type(v) is F for v in got)
 
 
@@ -135,13 +138,6 @@ def test_newton_reciprocal_matches_the_forward_loop(coeffs):
     got = series.reciprocal()
     assert got == forward_reciprocal(series)
     assert all(type(c) is F for c in got.coeffs)
-
-
-@settings(max_examples=25, deadline=None)
-@given(family_ids(), st.integers(0, 120))
-def test_newton_reciprocal_of_each_denominator(family, order):
-    denominator = family.spec.denominator(family.N, order)
-    assert denominator.reciprocal() == forward_reciprocal(denominator)
 
 
 # The Newton reciprocal doubles the known prefix, p -> q = min(2p, order + 1),
@@ -200,3 +196,61 @@ def test_int_convolve_range_is_that_slice_of_the_full_product(a, b, lo, hi, egf)
     got = int_convolve(a, b, lo, hi, egf=egf)
     assert got == full[lo : hi + 1]
     assert all(type(c) is int for c in got)
+
+
+@st.composite
+def chains(draw):
+    """(a, s, rho) for chain_convolve: a on the stride s from its last entry
+    back, a_{s(j-1)} = rho[j] a_{sj} with nonzero rho[j] of either sign, and
+    at stride 2 maybe one more 0 at the end, as a denominator of odd order has."""
+    s = draw(st.sampled_from([1, 2]))
+    ratios = draw(st.lists(st.integers(-10**4, 10**4).filter(bool), max_size=30))
+    on = [draw(st.integers(-10**12, 10**12).filter(bool))]
+    for x in reversed(ratios):
+        on.insert(0, x * on[0])
+    a = [0] * (s * len(on) - s + 1 + draw(st.integers(0, s - 1)))
+    a[::s] = on
+    return a, s, [0] + ratios
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), ints, st.one_of(st.none(), st.tuples(st.integers(0, 70), st.integers(-1, 90))))
+def test_chain_convolve_is_int_convolve_on_a_chain(chain, b, window):
+    a, s, rho = chain
+    # None: the window of the Newton reciprocal's middle product, past b
+    lo, hi = window or (len(b), min(2 * len(b), len(a)) - 1)
+    got = chain_convolve(a, s, rho, b, lo, hi)
+    assert got == int_convolve(a, b, lo, hi)
+    assert all(type(c) is int for c in got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(chains(), st.integers(1, 10**6), st.data())
+def test_newton_reciprocal_of_a_chain_and_of_one_with_a_zero_on_its_stride(chain, d, data):
+    a, s, _ = chain
+    coeffs = [F(x, d) for x in a]
+    variants = [coeffs]
+    if len(a) > s:
+        k = s * data.draw(st.integers(1, (len(a) - 1) // s))
+        variants.append(coeffs[:k] + [F(0)] + coeffs[k + 1 :])
+    for c in variants:
+        series = TruncatedSeries(tuple(c))
+        assert series.reciprocal() == forward_reciprocal(series)
+
+
+def test_the_chain_product_serves_chains_only(monkeypatch):
+    calls, real = [], chain_convolve
+    monkeypatch.setattr("hgnum.series.chain_convolve", lambda *args: calls.append(1) or real(*args))
+    euler, bernoulli = gen_f(3, 40), gen_hgbernoulli_denom(3, 40)
+    for series, chain in (
+        (euler, True),
+        (bernoulli, True),
+        # one zero on the stride
+        (TruncatedSeries(euler.coeffs[:10] + (F(0),) + euler.coeffs[11:]), False),
+        (TruncatedSeries(bernoulli.coeffs[:7] + (F(0),) + bernoulli.coeffs[8:]), False),
+        # the term ratio -(N+j)/(N+j-1) is not an integer
+        (gen_hgcauchy_denom(3, 40), False),
+    ):
+        calls.clear()
+        assert series.reciprocal() == forward_reciprocal(series)
+        assert bool(calls) is chain

@@ -9,7 +9,10 @@ hg-bernoulli and hg-cauchy the Hessenberg determinants also serve ``trudi``,
 so that kernel changes two methods, and the Euler-only kernels and the other
 family's recurrence change nothing.  One kernel is shared on purpose: the
 integer product loop ``int_convolve`` runs the Newton reciprocal's products
-and, through ``exact.convolve``, the binomial route's chain of powers.
+and, through ``exact.convolve``, the binomial route's chain of powers.  The
+reciprocal's middle product runs on ``chain_convolve`` instead where the
+denominator's term ratio is an integer (the Euler types and hg-bernoulli), so
+that kernel changes ``series`` there and nothing for hg-cauchy.
 """
 
 import csv
@@ -33,6 +36,7 @@ KERNELS = {
     "_cauchy_recurrence": (families,),
     "reciprocal": (TruncatedSeries,),
     "int_convolve": (exact, series),
+    "chain_convolve": (series,),
     "hessenberg_det_prefixes": (closed_forms,),
     "trudi_expand": (closed_forms,),
     "_composition_sum": (closed_forms,),
@@ -45,24 +49,26 @@ EULER_METHODS = {
     "_cauchy_recurrence": set(),
     "reciprocal": {"series"},
     "int_convolve": {"series", "binomial"},
+    "chain_convolve": {"series"},
     "hessenberg_det_prefixes": {"det"},
     "trudi_expand": {"trudi"},
     "_composition_sum": {"explicit"},
     "_power_chain": {"binomial"},
 }
 # kind -> kernel -> methods, for the stride-1 families, which differ only in
-# their own recurrence
+# their own recurrence and in the chain product
 STRIDE1_METHODS = {
     kind: dict.fromkeys(KERNELS, set()) | {
         "_over_running_lcm": {"recurrence"},
         own: {"recurrence"},
         "reciprocal": {"series"},
         "int_convolve": {"series"},
+        "chain_convolve": chain,
         "hessenberg_det_prefixes": {"det", "trudi"},
     }
-    for kind, own in (
-        (FamilyKind.HG_BERNOULLI, "_binomial_recurrence"),
-        (FamilyKind.HG_CAUCHY, "_cauchy_recurrence"),
+    for kind, own, chain in (
+        (FamilyKind.HG_BERNOULLI, "_binomial_recurrence", {"series"}),
+        (FamilyKind.HG_CAUCHY, "_cauchy_recurrence", set()),
     )
 }
 
