@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,6 +55,25 @@ def numerators(column: Sequence[Fraction]) -> tuple[list[int], int]:
     of its denominators."""
     den = math.lcm(*(x.denominator for x in column))
     return [x.numerator * (den // x.denominator) for x in column], den
+
+
+def over_running_lcm(nmax: int,
+                     step: Callable[[int, list[int]], tuple[int, int]]) -> tuple[Fraction, ...]:
+    """v_0 = 1 and v_n = num / (den L) for (num, den) = step(n, scaled), where L
+    is the lcm of the denominators of v_0..v_{n-1} and scaled[k] = L v_k: the
+    ints are rescaled only when L grows, and each index builds one Fraction.
+    The number recurrences and the Hessenberg determinants both run on it."""
+    values, scaled, lcm = [ONE], [1], 1
+    for n in range(1, nmax + 1):
+        num, den = step(n, scaled)
+        v = Fraction(num, den * lcm)
+        values.append(v)
+        grown = math.lcm(lcm, v.denominator)
+        if grown != lcm:
+            scaled = list(map((grown // lcm).__mul__, scaled))
+            lcm = grown
+        scaled.append(v.numerator * (lcm // v.denominator))
+    return tuple(values)
 
 
 def convolve(

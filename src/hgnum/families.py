@@ -3,7 +3,8 @@
 Each family is one :class:`FamilySpec` in :data:`SPECS`: v_n = n! [t^n] 1/F(t)
 for one hypergeometric denominator F, whose coefficients a_0 = 1, a_1, ... sit
 at the multiples of a stride (2 for the Euler types, 1 otherwise), and whose
-``recurrence`` reads F(t) V(t) = 1 in the numbers, on ints over a running lcm.
+``recurrence`` reads F(t) V(t) = 1 in the numbers, on ints over a running lcm
+(:func:`~hgnum.exact.over_running_lcm`, which the determinant route shares).
 
 Tables store the numbers themselves (with the n! factored in), not EGF
 coefficients, and keep explicit zeros at odd indices for the two Euler-type
@@ -24,7 +25,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Callable
 
-from .exact import InvalidParameter, ONE
+from .exact import InvalidParameter, over_running_lcm
 from .series import (
     TruncatedSeries,
     gen_f,
@@ -99,24 +100,6 @@ class NumberTable:
         return len(self.values) - 1
 
 
-def _over_running_lcm(nmax: int,
-                      step: Callable[[int, list[int]], tuple[int, int]]) -> tuple[Fraction, ...]:
-    """v_0 = 1 and v_n = num / (den L) for (num, den) = step(n, scaled), where L
-    is the lcm of the denominators of v_0..v_{n-1} and scaled[k] = L v_k: the
-    ints are rescaled only when L grows, and each index builds one Fraction."""
-    values, scaled, lcm = [ONE], [1], 1
-    for n in range(1, nmax + 1):
-        num, den = step(n, scaled)
-        v = Fraction(num, den * lcm)
-        values.append(v)
-        grown = math.lcm(lcm, v.denominator)
-        if grown != lcm:
-            scaled = list(map((grown // lcm).__mul__, scaled))
-            lcm = grown
-        scaled.append(v.numerator * (lcm // v.denominator))
-    return tuple(values)
-
-
 def _binomial_recurrence(w: int, stride: int, nmax: int) -> tuple[Fraction, ...]:
     """sum_{k <= n, k = n mod stride} C(w+n, k) v_k = [n = 0]: F(t) V(t) = 1
     read at t^{w+n}, since t^w F(t) is w! times e^t, cosh t or sinh t less
@@ -130,7 +113,7 @@ def _binomial_recurrence(w: int, stride: int, nmax: int) -> tuple[Fraction, ...]
         if n % stride:
             return 0, 1
         return -sum(map(mul, row[::stride], scaled[::stride])), row[n]
-    return _over_running_lcm(nmax, step)
+    return over_running_lcm(nmax, step)
 
 
 def _cauchy_recurrence(N: int, nmax: int) -> tuple[Fraction, ...]:
@@ -145,7 +128,7 @@ def _cauchy_recurrence(N: int, nmax: int) -> tuple[Fraction, ...]:
             t = den // (N + n - k) * scaled[k]
             acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1)
         return N * acc, den
-    return _over_running_lcm(nmax, step)
+    return over_running_lcm(nmax, step)
 
 
 # F is sum w!/(w+sj)! t^{sj} with w = 2N, 2N+1 or N for hg-euler,

@@ -15,11 +15,13 @@ suite, not here.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .exact import InvalidParameter, ONE, multinomial, numerators, partition_multiplicities
+from .exact import (
+    InvalidParameter, multinomial, numerators, over_running_lcm, partition_multiplicities,
+)
 
 
 def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
@@ -27,29 +29,14 @@ def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
     Toeplitz lower-Hessenberg matrix with first column ``entries``.
 
     With a_k = x_k / A over the common denominator A, and L the lcm of the
-    denominators of D_0..D_{m-1}, step m sums the ints (-1)^k x_{k+1} times
-    L D_{m-1-k}, and D_m is that sum over A L.  The ints L D_j are kept and
-    are rescaled only when L grows.
+    denominators of D_0..D_{m-1}, step m is the dot product of the ints
+    (-1)^k x_{k+1} with L D_{m-1-k}, over A L; :func:`~hgnum.exact.over_running_lcm`
+    keeps the ints L D_j.
     """
     nums, den = numerators(entries)
     signed = [-x if k % 2 else x for k, x in enumerate(nums)]
-    d = [ONE]
-    scaled = [1]  # scaled[j] = D_j * lcm
-    lcm = 1
-    for m in range(1, len(signed) + 1):
-        acc = 0
-        for k in range(m):
-            x = signed[k]
-            if x:
-                acc += x * scaled[m - 1 - k]
-        dm = Fraction(acc, den * lcm)
-        d.append(dm)
-        grown = math.lcm(lcm, dm.denominator)
-        if grown != lcm:
-            scaled = [y * (grown // lcm) for y in scaled]
-            lcm = grown
-        scaled.append(dm.numerator * (lcm // dm.denominator))
-    return d
+    return list(over_running_lcm(
+        len(signed), lambda m, scaled: (sum(map(mul, signed[:m], scaled[::-1])), den)))
 
 
 def trudi_expand(entries: Sequence[Fraction]) -> Fraction:

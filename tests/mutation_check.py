@@ -1,6 +1,6 @@
 """Mutation check for the integer kernels, run as a CI job of its own.
 
-    python tests/mutation_check.py [module ...]     # default: exact series families
+    python tests/mutation_check.py [module ...]     # default: exact series families linalg
 
 Each mutant of ``src/hgnum/<module>.py`` changes one thing: it swaps one
 ``+``/``-`` or ``*``/``//``, turns one comparison into its neighbour, or adds
@@ -34,6 +34,7 @@ TESTS = {
                "test_series_identities.py"],
     "families": ["test_families.py", "test_family_spec.py", "test_table_memo.py",
                  "test_integer_kernels.py", "test_modular_oracle.py"],
+    "linalg": ["test_linalg.py", "test_integer_kernels.py"],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -76,6 +77,7 @@ EQUIVALENT = {
     "families: return 0, 1 :: 1 -> 2": "off the stride the value is 0 over any denominator",
     "families: acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1) :: n - k -> n + k":
         "n - k and n + k have the same parity",
+    "linalg: by_parts = [0] * (m + 1) :: 1 -> 2": "by_parts gains a slot that is never read",
 }
 
 

@@ -1,18 +1,25 @@
 """Which ``compute`` methods share a kernel: break one kernel at a time and
 ``compute --method all`` changes exactly the methods that run it.
 
-Every family's ``recurrence`` (the number recurrences over a running lcm),
-``series`` (the Newton reciprocal) and ``det`` (the Hessenberg determinants)
-are separate kernels, so each of them changes one method and ``all`` exits 3.
-For the Euler types every other method has a kernel of its own too.  For
-hg-bernoulli and hg-cauchy the Hessenberg determinants also serve ``trudi``,
-so that kernel changes two methods, and the Euler-only kernels and the other
-family's recurrence change nothing.  One kernel is shared on purpose: the
-integer product loop ``int_convolve`` runs the Newton reciprocal's products
-and, through ``exact.convolve``, the binomial route's chain of powers.  The
+Every family's ``recurrence`` (the number recurrences), ``series`` (the
+Newton reciprocal) and ``det`` (the Hessenberg determinants) have kernels of
+their own, so each of them changes one method and ``all`` exits 3.  For the
+Euler types every other method has a kernel of its own too.  For hg-bernoulli
+and hg-cauchy the Hessenberg determinants also serve ``trudi``, so that kernel
+changes two methods, and the Euler-only kernels and the other family's
+recurrence change nothing.  Two kernels are shared on purpose.  The integer
+product loop ``int_convolve`` runs the Newton reciprocal's products and,
+through ``exact.convolve``, the binomial route's chain of powers.  The
 reciprocal's middle product runs on ``chain_convolve`` instead where the
 denominator's term ratio is an integer (the Euler types and hg-bernoulli), so
-that kernel changes ``series`` there and nothing for hg-cauchy.
+that kernel changes ``series`` there and nothing for hg-cauchy.  The prefix
+kernel ``over_running_lcm``, which keeps the earlier values as ints over a
+running lcm, runs both the number recurrences and the Hessenberg
+determinants, so it changes ``recurrence`` and ``det`` (and ``trudi`` at
+stride 1).  What guards it is outside the package: the modular oracle
+(``test_modular_oracle.py``) checks both routes against residues mod a prime,
+and the Riccati oracle (``test_riccati_oracle.py``) checks them against
+exact values from a recurrence with no weights and no lcm.
 """
 
 import csv
@@ -22,7 +29,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum import closed_forms, exact, families, series
+from hgnum import closed_forms, exact, families, linalg, series
 from hgnum.cli import EXIT_MISMATCH, EXIT_OK, main
 from hgnum.families import SPECS, FamilyKind
 from hgnum.series import TruncatedSeries
@@ -31,7 +38,7 @@ MAX_N = 12  # even, so the last index is a value of every family
 
 # kernel -> every place the routes look it up
 KERNELS = {
-    "_over_running_lcm": (families,),
+    "over_running_lcm": (families, linalg),
     "_binomial_recurrence": (families,),
     "_cauchy_recurrence": (families,),
     "reciprocal": (TruncatedSeries,),
@@ -44,7 +51,7 @@ KERNELS = {
 }
 
 EULER_METHODS = {
-    "_over_running_lcm": {"recurrence"},
+    "over_running_lcm": {"recurrence", "det"},
     "_binomial_recurrence": {"recurrence"},
     "_cauchy_recurrence": set(),
     "reciprocal": {"series"},
@@ -59,7 +66,7 @@ EULER_METHODS = {
 # their own recurrence and in the chain product
 STRIDE1_METHODS = {
     kind: dict.fromkeys(KERNELS, set()) | {
-        "_over_running_lcm": {"recurrence"},
+        "over_running_lcm": {"recurrence", "det", "trudi"},
         own: {"recurrence"},
         "reciprocal": {"series"},
         "int_convolve": {"series"},
