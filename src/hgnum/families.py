@@ -5,6 +5,9 @@ for one hypergeometric denominator F, whose coefficients a_0 = 1, a_1, ... sit
 at the multiples of a stride (2 for the Euler types, 1 otherwise), and whose
 ``recurrence`` reads F(t) V(t) = 1 in the numbers, on ints over a running lcm
 (:func:`~hgnum.exact.over_running_lcm`, which the determinant route shares).
+For hg-euler, comp-hg-euler and hg-bernoulli, F is sum w!/(w+sj)! t^{sj}
+(:func:`~hgnum.series.gen_ratio`), and each family names its w(N) once:
+``_ratio_spec`` builds both its denominator and its recurrence from it.
 
 Tables store the numbers themselves (with the n! factored in), not EGF
 coefficients, and keep explicit zeros at odd indices for the two Euler-type
@@ -26,13 +29,7 @@ from operator import add, mul
 from typing import Callable
 
 from .exact import InvalidParameter, over_running_lcm
-from .series import (
-    TruncatedSeries,
-    gen_f,
-    gen_fhat,
-    gen_hgbernoulli_denom,
-    gen_hgcauchy_denom,
-)
+from .series import TruncatedSeries, gen_hgcauchy_denom, gen_ratio
 
 
 class FamilyKind(enum.Enum):
@@ -131,20 +128,23 @@ def _cauchy_recurrence(N: int, nmax: int) -> tuple[Fraction, ...]:
     return over_running_lcm(nmax, step)
 
 
-# F is sum w!/(w+sj)! t^{sj} with w = 2N, 2N+1 or N for hg-euler,
-# comp-hg-euler or hg-bernoulli; the recurrence takes the same w.
+def _ratio_spec(least_N: int, stride: int, w: Callable[[int], int]) -> FamilySpec:
+    """The family whose F is sum w!/(w+sj)! t^{sj}, w = w(N), s = stride:
+    its series and its recurrence both read that one w."""
+    return FamilySpec(
+        least_N=least_N, stride=stride,
+        denominator=lambda N, order: gen_ratio(w(N), stride, order),
+        recurrence=lambda N, nmax: _binomial_recurrence(w(N), stride, nmax))
+
+
+# Every callable looks its kernel up by name when called, so a patch or a
+# wrapper installed on the module's name reaches it.
 SPECS: dict[FamilyKind, FamilySpec] = {
-    FamilyKind.HG_EULER: FamilySpec(
-        least_N=0, stride=2, denominator=gen_f,
-        recurrence=lambda N, nmax: _binomial_recurrence(2 * N, 2, nmax)),
-    FamilyKind.COMP_HG_EULER: FamilySpec(
-        least_N=0, stride=2, denominator=gen_fhat,
-        recurrence=lambda N, nmax: _binomial_recurrence(2 * N + 1, 2, nmax)),
-    FamilyKind.HG_BERNOULLI: FamilySpec(
-        least_N=1, stride=1, denominator=gen_hgbernoulli_denom,
-        recurrence=lambda N, nmax: _binomial_recurrence(N, 1, nmax)),
+    FamilyKind.HG_EULER: _ratio_spec(0, 2, lambda N: 2 * N),
+    FamilyKind.COMP_HG_EULER: _ratio_spec(0, 2, lambda N: 2 * N + 1),
+    FamilyKind.HG_BERNOULLI: _ratio_spec(1, 1, lambda N: N),
     FamilyKind.HG_CAUCHY: FamilySpec(
-        least_N=1, stride=1, denominator=gen_hgcauchy_denom,
+        least_N=1, stride=1, denominator=lambda N, order: gen_hgcauchy_denom(N, order),
         recurrence=lambda N, nmax: _cauchy_recurrence(N, nmax)),
 }
 

@@ -15,15 +15,7 @@ from typing import Iterator, Sequence
 
 from .exact import InvalidParameter, ZERO, convolve, factorial, numerators
 from .families import FamilyId, FamilyKind, table
-from .series import (
-    TruncatedSeries,
-    gen_cos,
-    gen_cosh,
-    gen_f,
-    gen_fk,
-    gen_fstar,
-    gen_sin,
-)
+from .series import TruncatedSeries, gen_cos, gen_ratio, gen_sin
 
 
 @dataclass(frozen=True)
@@ -272,14 +264,14 @@ def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
     of t^m on either side is an integer multiple of that series' own t^m
     coefficient, so they are checked on integer numerators.
     """
-    f, fstar = gen_f(N, M), gen_fstar(N, M)
+    # the ladder F_k = sum k!/(k+2j)! t^{2j} for k = 0..2N: F = F_{2N},
+    # F* = F_{2N-1} and cosh t = F_0
+    rungs = [gen_ratio(k, 2, M) for k in range(2 * N + 1)]
+    f, fk = rungs[2 * N], [numerators(s.coeffs) for s in rungs]
     # 2N F + t F' = 2N F*
     yield _first_scaled_diff(
-        "scaled-derivative",
-        numerators(f.coeffs), [2 * N + m for m in range(M)],
-        numerators(fstar.coeffs), [2 * N] * M,
+        "scaled-derivative", fk[2 * N], [2 * N + m for m in range(M)], fk[2 * N - 1], [2 * N] * M
     )
-    fk = [numerators(gen_fk(k, M).coeffs) for k in range(2 * N + 1)]
     # ladder: k F_{(2N-k)} + t F_{(2N-k)}' = k F_{(2N-k+1)}
     for k in range(1, 2 * N + 1):
         yield _first_scaled_diff(
@@ -288,12 +280,11 @@ def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
     # cosh expansion in derivatives of the ladder series:
     # sum_i C(k,i) t^i f^{(i)}/i! = cosh t, and the divided-power derivative
     # f^{(i)}/i! takes c_m t^m to C(m,i) c_m t^{m-i}
-    cosh = numerators(gen_cosh(M).coeffs)
     for k in range(2 * N + 1):
         ht = [
             sum(math.comb(k, i) * math.comb(m, i) for i in range(k + 1)) for m in range(M - k + 1)
         ]
-        yield _first_scaled_diff(f"cosh-expansion(k={k})", fk[k], ht, cosh, [1] * len(ht))
+        yield _first_scaled_diff(f"cosh-expansion(k={k})", fk[k], ht, fk[0], [1] * len(ht))
     # 1/F and 1/F* are the EGFs of the hg-euler(N) and comp-hg-euler(N-1)
     # tables: F* is comp-hg-euler(N-1)'s denominator.
     inv_f = TruncatedSeries.from_egf(_ladder(2 * N, M))

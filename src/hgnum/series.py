@@ -10,10 +10,10 @@ paper's Hasse-Teichmuller (divided-power) derivative, which the acceptance
 tests check.
 
 The module also provides constructors for every generating function the number
-families and identity checkers need: the even-coefficient family with
-factorial-ratio coefficients (and its starred/hatted/shifted variants),
-cosh/sinh-type series, sin/cos, and the denominators of the hypergeometric
-Bernoulli and Cauchy numbers.
+families and identity checkers need: one for the factorial-ratio series
+sum w!/(w+sj)! t^{sj} (the denominators of the Euler types and of the
+hypergeometric Bernoulli numbers, and the identity checkers' ladder, cosh
+included), one for the hypergeometric Cauchy denominator, and sin/cos.
 """
 
 from __future__ import annotations
@@ -131,45 +131,18 @@ class TruncatedSeries:
         return tuple(factorial(n) * c for n, c in enumerate(self.coeffs))
 
 
-def gen_fk(k: int, order: int) -> TruncatedSeries:
-    """The ladder family: sum k!/(k+2n)! t^{2n}.
-
-    k = 0 gives cosh t; k = 2N recovers gen_f(N, .).
-    """
-    if k < 0:
-        raise InvalidParameter(f"k must be nonnegative, got {k}")
-    cs = [ZERO] * (order + 1)
-    # k!/(k+2n)! = 1/d_n with d_n = (k+1)(k+2)...(k+2n), an integer product
-    d = 1
-    for n in range(order // 2 + 1):
-        cs[2 * n] = Fraction(1, d)
-        d *= (k + 2 * n + 1) * (k + 2 * n + 2)
+def gen_ratio(w: int, stride: int, order: int) -> TruncatedSeries:
+    """sum_j w!/(w+sj)! t^{sj}, s = stride: the denominator of hg-euler (w = 2N,
+    s = 2), comp-hg-euler (w = 2N+1, s = 2) and hg-bernoulli (w = N, s = 1).
+    w = 0 gives cosh t at s = 2 and e^t at s = 1."""
+    if w < 0:
+        raise InvalidParameter(f"w must be nonnegative, got {w}")
+    # w!/(w+n)! = 1/d with d = (w+1)(w+2)...(w+n), an integer product
+    cs, d = [], 1
+    for n in range(order + 1):
+        cs.append(Fraction(1, d) if n % stride == 0 else ZERO)
+        d *= w + n + 1
     return TruncatedSeries(tuple(cs))
-
-
-def gen_f(N: int, order: int) -> TruncatedSeries:
-    """Denominator of the hypergeometric Euler EGF: sum (2N)!/(2N+2n)! t^{2n}."""
-    if N < 0:
-        raise InvalidParameter(f"N must be nonnegative, got {N}")
-    return gen_fk(2 * N, order)
-
-
-def gen_fstar(N: int, order: int) -> TruncatedSeries:
-    """Starred variant: sum (2N-1)!/(2N+2n-1)! t^{2n}; needs N >= 1."""
-    if N < 1:
-        raise InvalidParameter(f"N must be positive, got {N}")
-    return gen_fk(2 * N - 1, order)
-
-
-def gen_fhat(N: int, order: int) -> TruncatedSeries:
-    """Denominator of the complementary EGF: sum (2N+1)!/(2N+2n+1)! t^{2n}."""
-    if N < 0:
-        raise InvalidParameter(f"N must be nonnegative, got {N}")
-    return gen_fk(2 * N + 1, order)
-
-
-def gen_cosh(order: int) -> TruncatedSeries:
-    return gen_fk(0, order)
 
 
 def gen_sin(order: int) -> TruncatedSeries:
@@ -184,19 +157,6 @@ def gen_cos(order: int) -> TruncatedSeries:
     cs = [ZERO] * (order + 1)
     for n in range(order // 2 + 1):
         cs[2 * n] = Fraction((-1) ** n) / factorial(2 * n)
-    return TruncatedSeries(tuple(cs))
-
-
-def gen_hgbernoulli_denom(N: int, order: int) -> TruncatedSeries:
-    """sum N!/(N+n)! t^n; the reciprocal's EGF gives hypergeometric Bernoulli numbers."""
-    if N < 1:
-        raise InvalidParameter(f"N must be positive, got {N}")
-    # N!/(N+n)! = 1/d_n with d_n = (N+1)(N+2)...(N+n)
-    cs = []
-    d = 1
-    for n in range(order + 1):
-        cs.append(Fraction(1, d))
-        d *= N + n + 1
     return TruncatedSeries(tuple(cs))
 
 

@@ -13,7 +13,7 @@ from hgnum.exact import InvalidParameter, compositions, factorial
 from hgnum.families import SPECS, FamilyId, FamilyKind, table
 from hgnum.identities import FailureWitness, IdentityReport
 from hgnum.linalg import hessenberg_det_prefixes
-from hgnum.series import TruncatedSeries, gen_cosh, gen_f, gen_fk, gen_fstar
+from hgnum.series import TruncatedSeries, gen_ratio
 
 EULER_KINDS = tuple(kind for kind in FamilyKind if SPECS[kind].stride == 2)
 
@@ -108,20 +108,20 @@ def series_identities_oracle(N, M):
     """``check_series_identities`` on ``TruncatedSeries`` arithmetic: every
     identity as two whole series, compared coefficient by coefficient in the
     same order, with the divided-power derivative summed term by term."""
-    f = gen_f(N, M)
-    fstar = gen_fstar(N, M)
+    f = gen_ratio(2 * N, 2, M)
+    fstar = gen_ratio(2 * N - 1, 2, M)
     inv_f = TruncatedSeries.from_egf(table(FamilyId(FamilyKind.HG_EULER, N), M).values)
     inv_fstar = TruncatedSeries.from_egf(table(FamilyId(FamilyKind.COMP_HG_EULER, N - 1), M).values)
     checks = [
         ("scaled-derivative", f.scale(2 * N) + f.derivative().times_t(), fstar.scale(2 * N), M - 1)
     ]
     for k in range(1, 2 * N + 1):
-        fk = gen_fk(k, M)
+        fk = gen_ratio(k, 2, M)
         lhs = fk.scale(k) + fk.derivative().times_t()
-        checks.append((f"ladder(k={k})", lhs, gen_fk(k - 1, M).scale(k), M - 1))
-    cosh = gen_cosh(M)
+        checks.append((f"ladder(k={k})", lhs, gen_ratio(k - 1, 2, M).scale(k), M - 1))
+    cosh = gen_ratio(0, 2, M)
     for k in range(0, 2 * N + 1):
-        fk = gen_fk(k, M)
+        fk = gen_ratio(k, 2, M)
         acc = TruncatedSeries.zero(M - k if M >= k else 0)
         for i in range(k + 1):
             term = fk.hasse_teichmuller(i).scale(math.comb(k, i))

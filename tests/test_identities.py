@@ -20,7 +20,7 @@ from hgnum.identities import (
     tangent_complex_sum,
     y2_column,
 )
-from hgnum.series import gen_f, gen_fk
+from hgnum.series import gen_ratio
 
 EULER = FamilyKind.HG_EULER
 BERNOULLI = FamilyKind.HG_BERNOULLI
@@ -108,9 +108,9 @@ class TestSumsOfProducts:
         assert_passed(check_sumprod_trinomial_comp(N, 20))
 
     @pytest.mark.parametrize("w", range(14))
-    def test_ladder_is_the_reciprocal_of_gen_fk(self, w):
+    def test_ladder_is_the_reciprocal_of_gen_ratio(self, w):
         # w = 2N reads E_N, w = 2N+1 reads Ehat_N; both are 1/F_w
-        assert _ladder(w, 16) == gen_fk(w, 16).reciprocal().egf_values()
+        assert _ladder(w, 16) == gen_ratio(w, 2, 16).reciprocal().egf_values()
 
     def test_pair_spot_value(self):
         e = table(FamilyId(EULER, 1), 2)
@@ -128,7 +128,7 @@ class TestSumsOfProducts:
 
         N, nmax = 2, 16
         e = table(FamilyId(EULER, N), nmax).values
-        r = gen_f(N, nmax).reciprocal()
+        r = gen_ratio(2 * N, 2, nmax).reciprocal()
         cube = r * r * r
         trinomial = convolve(convolve(e, e, nmax, egf=True), e, nmax, egf=True)
         for n in range(nmax + 1):

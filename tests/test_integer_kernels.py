@@ -12,7 +12,7 @@ from hgnum.closed_forms import _composition_sum
 from hgnum.exact import chain_convolve, int_convolve, partition_multiplicities
 from hgnum.families import SPECS, FamilyId, FamilyKind
 from hgnum.linalg import hessenberg_det_prefixes, trudi_expand
-from hgnum.series import TruncatedSeries, gen_f, gen_fhat, gen_hgbernoulli_denom, gen_hgcauchy_denom
+from hgnum.series import TruncatedSeries, gen_hgcauchy_denom, gen_ratio
 from helpers import EULER_KINDS, all_compositions, even_convolution_recurrence, forward_reciprocal
 
 
@@ -153,8 +153,8 @@ def edge_series(order):
         (F(-3, 5),) + tuple(F((-1) ** k * (k % 7), k % 4 + 1) for k in range(1, order + 1))
     )
     yield TruncatedSeries(tuple(F(int(k in (0, 5))) for k in range(order + 1)))
-    yield gen_f(3, order)
-    yield gen_fhat(3, order)
+    yield gen_ratio(6, 2, order)
+    yield gen_ratio(7, 2, order)
 
 
 @pytest.mark.parametrize("order", EDGE_ORDERS)
@@ -241,7 +241,7 @@ def test_newton_reciprocal_of_a_chain_and_of_one_with_a_zero_on_its_stride(chain
 def test_the_chain_product_serves_chains_only(monkeypatch):
     calls, real = [], chain_convolve
     monkeypatch.setattr("hgnum.series.chain_convolve", lambda *args: calls.append(1) or real(*args))
-    euler, bernoulli = gen_f(3, 40), gen_hgbernoulli_denom(3, 40)
+    euler, bernoulli = gen_ratio(6, 2, 40), gen_ratio(3, 1, 40)
     for series, chain in (
         (euler, True),
         (bernoulli, True),

@@ -7,7 +7,12 @@ their own, so each of them changes one method and ``all`` exits 3.  For the
 Euler types every other method has a kernel of its own too.  For hg-bernoulli
 and hg-cauchy the Hessenberg determinants also serve ``trudi``, so that kernel
 changes two methods, and the Euler-only kernels and the other family's
-recurrence change nothing.  Two kernels are shared on purpose.  The integer
+recurrence change nothing.  Three kernels are shared on purpose.  The
+factorial-ratio constructor ``gen_ratio`` is the denominator of hg-euler,
+comp-hg-euler and hg-bernoulli, so it feeds each of their routes but
+``recurrence``: ``series`` reads the series, the others its weights.  That no
+recurrence reads it is the point, since the recurrence checks the others;
+hg-cauchy's ``gen_hgcauchy_denom`` is the same for that family.  The integer
 product loop ``int_convolve`` runs the Newton reciprocal's products and,
 through ``exact.convolve``, the binomial route's chain of powers.  The
 reciprocal's middle product runs on ``chain_convolve`` instead where the
@@ -41,6 +46,8 @@ KERNELS = {
     "over_running_lcm": (families, linalg),
     "_binomial_recurrence": (families,),
     "_cauchy_recurrence": (families,),
+    "gen_ratio": (families,),
+    "gen_hgcauchy_denom": (families,),
     "reciprocal": (TruncatedSeries,),
     "int_convolve": (exact, series),
     "chain_convolve": (series,),
@@ -54,6 +61,8 @@ EULER_METHODS = {
     "over_running_lcm": {"recurrence", "det"},
     "_binomial_recurrence": {"recurrence"},
     "_cauchy_recurrence": set(),
+    "gen_ratio": {"series", "explicit", "binomial", "det", "trudi"},
+    "gen_hgcauchy_denom": set(),
     "reciprocal": {"series"},
     "int_convolve": {"series", "binomial"},
     "chain_convolve": {"series"},
@@ -63,19 +72,20 @@ EULER_METHODS = {
     "_power_chain": {"binomial"},
 }
 # kind -> kernel -> methods, for the stride-1 families, which differ only in
-# their own recurrence and in the chain product
+# their own recurrence and denominator and in the chain product
 STRIDE1_METHODS = {
     kind: dict.fromkeys(KERNELS, set()) | {
         "over_running_lcm": {"recurrence", "det", "trudi"},
         own: {"recurrence"},
+        denominator: {"series", "det", "trudi"},
         "reciprocal": {"series"},
         "int_convolve": {"series"},
         "chain_convolve": chain,
         "hessenberg_det_prefixes": {"det", "trudi"},
     }
-    for kind, own, chain in (
-        (FamilyKind.HG_BERNOULLI, "_binomial_recurrence", {"series"}),
-        (FamilyKind.HG_CAUCHY, "_cauchy_recurrence", set()),
+    for kind, own, denominator, chain in (
+        (FamilyKind.HG_BERNOULLI, "_binomial_recurrence", "gen_ratio", {"series"}),
+        (FamilyKind.HG_CAUCHY, "_cauchy_recurrence", "gen_hgcauchy_denom", set()),
     )
 }
 

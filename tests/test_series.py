@@ -10,13 +10,8 @@ from hgnum.series import (
     TruncatedSeries,
     ZeroConstantTerm,
     gen_cos,
-    gen_cosh,
-    gen_f,
-    gen_fhat,
-    gen_fk,
-    gen_fstar,
-    gen_hgbernoulli_denom,
     gen_hgcauchy_denom,
+    gen_ratio,
     gen_sin,
 )
 from helpers import is_zero, monomial, rising_factorial
@@ -28,15 +23,16 @@ def series_from_ints(ints):
 
 class TestArithmetic:
     def test_add_cancels(self):
-        c = gen_cosh(12)
+        c = gen_ratio(0, 2, 12)
         assert is_zero(c + (-c))
 
     def test_scale_identity(self):
-        c = gen_cosh(12)
+        c = gen_ratio(0, 2, 12)
         assert c.scale(1) == c
 
     def test_sub_f_at_zero_is_cosh(self):
-        assert is_zero(gen_f(0, 20) - gen_cosh(20))
+        cosh = TruncatedSeries.from_egf([F(1 - n % 2) for n in range(21)])
+        assert is_zero(gen_ratio(0, 2, 20) - cosh)
 
     def test_mul_by_one(self):
         s = series_from_ints([3, 1, 4, 1, 5])
@@ -48,14 +44,14 @@ class TestArithmetic:
         assert (a * b).order == 1
 
     def test_defining_product_of_reciprocal(self):
-        f = gen_f(3, 16)
+        f = gen_ratio(6, 2, 16)
         assert f * f.reciprocal() == monomial(0, 16)
 
     def test_cauchy_product_annihilates_shifted_factor(self):
         # the product defining the main family collapses to a single monomial
         N, M = 2, 18
-        inv = gen_f(N, M).reciprocal()
-        prod = gen_f(N, M) * inv
+        inv = gen_ratio(2 * N, 2, M).reciprocal()
+        prod = gen_ratio(2 * N, 2, M) * inv
         assert prod[0] == 1
         assert all(prod[n] == 0 for n in range(1, M + 1))
 
@@ -66,12 +62,12 @@ class TestReciprocal:
         assert one_minus_t.reciprocal().coeffs == (F(1),) * 11
 
     def test_euler_numbers_from_reciprocal(self):
-        values = gen_f(0, 14).reciprocal().egf_values()
+        values = gen_ratio(0, 2, 14).reciprocal().egf_values()
         assert list(values) == [1, 0, -1, 0, 5, 0, -61, 0, 1385, 0, -50521, 0,
                                 2702765, 0, -199360981]
 
     def test_complementary_euler_start(self):
-        values = gen_fhat(0, 4).reciprocal().egf_values()
+        values = gen_ratio(1, 2, 4).reciprocal().egf_values()
         assert list(values) == [1, 0, F(-1, 3), 0, F(7, 15)]
 
     def test_from_egf_inverts_egf_values(self):
@@ -93,15 +89,15 @@ class TestDerivative:
         assert series_from_ints([3, 5]).times_t() == series_from_ints([0, 3])
 
     def test_cosh_to_sinh(self):
-        d = gen_cosh(13).derivative()
-        sinh = gen_fk(1, 12).times_t()  # sinh t / t, times t
+        d = gen_ratio(0, 2, 13).derivative()
+        sinh = gen_ratio(1, 2, 12).times_t()  # sinh t / t, times t
         assert d == sinh
 
     def test_star_relation(self):
         N, M = 3, 20
-        f = gen_f(N, M)
+        f = gen_ratio(2 * N, 2, M)
         lhs = f.scale(2 * N) + f.derivative().times_t()
-        assert lhs.coeffs[:M] == gen_fstar(N, M).scale(2 * N).coeffs[:M]
+        assert lhs.coeffs[:M] == gen_ratio(2 * N - 1, 2, M).scale(2 * N).coeffs[:M]
 
 
 class TestHasseTeichmuller:
@@ -145,32 +141,31 @@ def test_ring_laws_order_12(a, b, c):
 
 
 class TestGenerators:
-    def test_fk_at_zero_is_cosh(self):
-        assert gen_fk(0, 16) == gen_cosh(16)
-
-    def test_fk_at_2n_is_f(self):
-        for N in range(5):
-            assert gen_fk(2 * N, 12) == gen_f(N, 12)
-
-    def test_fk_matches_hypergeometric_evaluation(self):
-        # k!/(k+2n)! equals the 1F2 coefficient with parameters
-        # floor((k+2)/2) and floor((k+1)/2)+1/2 at argument t^2/4
-        for k in range(11):
-            b = F((k + 2) // 2)
-            c = F((k + 1) // 2) + F(1, 2)
-            s = gen_fk(k, 20)
-            for n in range(11):
-                coeff = (
-                    rising_factorial(F(1), n)
-                    / (rising_factorial(b, n) * rising_factorial(c, n))
-                    * F(1, 4) ** n
-                    / factorial(n)
-                )
-                if 2 * n <= 20:
-                    assert s[2 * n] == coeff
+    @pytest.mark.parametrize("stride", [2, 1])
+    def test_ratio_matches_hypergeometric_evaluation(self, stride):
+        # at stride 2, w!/(w+2n)! is the 1F2 coefficient with parameters
+        # floor((w+2)/2) and floor((w+1)/2)+1/2 at argument t^2/4; at
+        # stride 1, w!/(w+n)! is the 1F1(1; w+1; t) coefficient 1/(w+1)_n
+        for w in range(11):
+            s = gen_ratio(w, stride, 20)
+            for n in range(21):
+                if stride == 1:
+                    assert s[n] == 1 / rising_factorial(F(w + 1), n)
+                elif n % 2:
+                    assert s[n] == 0
+                else:
+                    b = F((w + 2) // 2)
+                    c = F((w + 1) // 2) + F(1, 2)
+                    m = n // 2
+                    assert s[n] == (
+                        rising_factorial(F(1), m)
+                        / (rising_factorial(b, m) * rising_factorial(c, m))
+                        * F(1, 4) ** m
+                        / factorial(m)
+                    )
 
     def test_bernoulli_denominator_reciprocal(self):
-        values = gen_hgbernoulli_denom(1, 4).reciprocal().egf_values()
+        values = gen_ratio(1, 1, 4).reciprocal().egf_values()
         assert list(values) == [1, F(-1, 2), F(1, 6), 0, F(-1, 30)]
 
     def test_cauchy_denominator_signs(self):
@@ -184,11 +179,8 @@ class TestGenerators:
         assert lhs == monomial(0, order)
 
     def test_parameter_guards(self):
-        with pytest.raises(InvalidParameter):
-            gen_fstar(0, 8)
-        with pytest.raises(InvalidParameter):
-            gen_hgbernoulli_denom(0, 8)
+        for stride in (2, 1):
+            with pytest.raises(InvalidParameter):
+                gen_ratio(-1, stride, 8)
         with pytest.raises(InvalidParameter):
             gen_hgcauchy_denom(0, 8)
-        with pytest.raises(InvalidParameter):
-            gen_f(-1, 8)

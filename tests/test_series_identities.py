@@ -10,7 +10,7 @@ import pytest
 from hgnum import identities
 from hgnum.families import FamilyKind, NumberTable
 from hgnum.identities import check_series_identities
-from hgnum.series import TruncatedSeries, gen_f, gen_fstar
+from hgnum.series import TruncatedSeries, gen_ratio
 
 from helpers import series_identities_oracle
 
@@ -27,14 +27,20 @@ def nudged(series, m, delta):
     return TruncatedSeries(tuple(cs))
 
 
+def bend(monkeypatch, bent_w, m, delta):
+    """Make ``identities.gen_ratio`` return F_{bent_w} with t^m moved by delta."""
+    real = identities.gen_ratio
+    monkeypatch.setattr(
+        identities, "gen_ratio",
+        lambda w, stride, order: nudged(real(w, stride, order), m, delta)
+        if w == bent_w else real(w, stride, order),
+    )
+
+
 def test_a_bent_ladder_series_fails_its_ladder_step(monkeypatch):
     # F_2 at t^4 is 2!/6! = 1/360 and F_1 there is 1/120; the rung k = 1 and
-    # the scaled derivative (from gen_f and gen_fstar) do not read F_2
-    real = identities.gen_fk
-    monkeypatch.setattr(
-        identities, "gen_fk",
-        lambda k, order: nudged(real(k, order), 4, F(1, 7)) if k == 2 else real(k, order),
-    )
+    # the scaled derivative (F_4 and F_3) do not read F_2
+    bend(monkeypatch, 2, 4, F(1, 7))
     report = check_series_identities(2, 12)
     assert not report.passed
     assert report.first_failure.indices == ("ladder(k=2)", 4)
@@ -43,11 +49,8 @@ def test_a_bent_ladder_series_fails_its_ladder_step(monkeypatch):
 
 
 def test_a_bent_starred_series_fails_the_scaled_derivative(monkeypatch):
-    # N = 2: F at t^6 is 4!/10! = 1/151200 and F* is 3!/9! = 1/60480
-    real = identities.gen_fstar
-    monkeypatch.setattr(
-        identities, "gen_fstar", lambda N, order: nudged(real(N, order), 6, F(1, 11))
-    )
+    # N = 2: F at t^6 is 4!/10! = 1/151200 and F* = F_3 is 3!/9! = 1/60480
+    bend(monkeypatch, 3, 6, F(1, 11))
     report = check_series_identities(2, 12)
     assert not report.passed
     assert report.first_failure.indices == ("scaled-derivative", 6)
@@ -63,18 +66,17 @@ def test_passes_when_the_order_is_below_the_ladder():
 
 
 def test_cosh_expansion_still_compares(monkeypatch):
-    real = identities.gen_cosh
-
-    def bent(order):
-        cs = list(real(order).coeffs)
-        cs[4] += F(1, 7)
-        return TruncatedSeries(tuple(cs))
-
-    monkeypatch.setattr(identities, "gen_cosh", bent)
+    # cosh t is F_0, which the rung k = 1 reads before any expansion does;
+    # the expansions k >= 1 compare against the bent cosh too
+    bend(monkeypatch, 0, 4, F(1, 7))
     report = check_series_identities(2, 12)
-    assert not report.passed
-    assert report.first_failure.indices == ("cosh-expansion(k=0)", 4)
-    assert report.first_failure.rhs == real(12)[4] + F(1, 7)
+    assert report.first_failure.indices == ("ladder(k=1)", 4)
+    expansions = [
+        w for w in identities._series_failures(2, 12)
+        if w is not None and w.indices[0].startswith("cosh-expansion")
+    ]
+    assert expansions[0].indices == ("cosh-expansion(k=1)", 4)
+    assert expansions[0].rhs == gen_ratio(0, 2, 12)[4] + F(1, 7)
 
 
 @pytest.mark.parametrize("N", range(1, 7))
@@ -82,8 +84,8 @@ def test_table_reciprocals_equal_series_reciprocals(N):
     for M in range(41):
         inv_f = TruncatedSeries.from_egf(identities._ladder(2 * N, M))
         inv_fstar = TruncatedSeries.from_egf(identities._ladder(2 * N - 1, M))
-        assert inv_f == gen_f(N, M).reciprocal()
-        assert inv_fstar == gen_fstar(N, M).reciprocal()
+        assert inv_f == gen_ratio(2 * N, 2, M).reciprocal()
+        assert inv_fstar == gen_ratio(2 * N - 1, 2, M).reciprocal()
 
 
 def test_a_doctored_table_fails_the_reciprocal_checks(monkeypatch):
