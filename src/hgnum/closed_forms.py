@@ -35,7 +35,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators
+from .exact import (
+    InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators, to_fractions)
 from .linalg import hessenberg_det_prefixes, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table, via_series
 
@@ -79,11 +80,13 @@ def table_det(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
 
 def _power_chain(weights: Sequence[Fraction], half: int, kmax: int) -> list[list[Fraction]]:
     """Coefficients x^0..x^half of P^0..P^kmax, P = sum_j weights[j] x^j,
-    each power from the one before."""
-    poly = list(weights[: half + 1])
-    powers = [[ONE] + [ZERO] * half]
+    each power from the one before, as a column reduced by convolve's gcd
+    (unreduced, the denominators multiply up), and read as Fractions."""
+    poly, power = numerators(weights[: half + 1]), ([1] + [0] * half, 1)
+    powers = [to_fractions(power)]
     for _ in range(kmax):
-        powers.append(convolve(powers[-1], poly, half))
+        power = convolve(power, poly, half)
+        powers.append(to_fractions(power))
     return powers
 
 

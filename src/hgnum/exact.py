@@ -1,8 +1,10 @@
 """Exact scalars and the combinatorial enumerators everything else consumes.
 
-The universal scalar is :class:`fractions.Fraction`, which is already an
-arbitrary-precision rational in canonical reduced form (positive denominator,
-gcd(|p|, q) = 1, zero as 0/1).
+The scalar is :class:`fractions.Fraction`, an arbitrary-precision rational in
+canonical reduced form (positive denominator, gcd(|p|, q) = 1, zero as 0/1).
+Sequences of them travel as columns (nums, den): integer numerators over one
+positive denominator (:func:`numerators`), which products keep with one gcd
+(:func:`convolve`); :func:`to_fractions` turns one back into Fractions.
 """
 
 from __future__ import annotations
@@ -76,33 +78,40 @@ def over_running_lcm(nmax: int,
     return tuple(values)
 
 
+def to_fractions(column: tuple[list[int], int]) -> list[Fraction]:
+    """The column's values as Fractions, each reduced on its own."""
+    nums, den = column
+    return [Fraction(c, den) if c else ZERO for c in nums]
+
+
 def convolve(
-    a: Sequence[Fraction],
-    b: Sequence[Fraction],
+    a: tuple[list[int], int],
+    b: tuple[list[int], int],
     nmax: int,
     *,
     egf: bool = False,
     weight: Sequence[int] | None = None,
     divisor: int = 1,
-) -> list[Fraction]:
-    """c_0..c_nmax with c_n = sum_{i=0}^n C(n, i) weight[i] a_i b_{n-i} / divisor.
+) -> tuple[list[int], int]:
+    """c_0..c_nmax with c_n = sum_{i=0}^n C(n, i) weight[i] a_i b_{n-i} / divisor,
+    a, b and c columns and ``divisor`` positive.
 
-    The factor C(n, i) is there only with ``egf`` (the product of two
-    exponential generating functions) and weight[i] only with ``weight``.
-    Each column is taken as integer numerators over one common denominator,
-    the product runs on plain ints (:func:`int_convolve`), and each c_n
-    becomes a Fraction once, at the end.
+    C(n, i) is there only with ``egf`` (the product of two exponential
+    generating functions), and weight[i] only with ``weight``, which must have
+    the nmax + 1 entries read.  The product runs on plain ints
+    (:func:`int_convolve`), and one gcd takes the common factor out of c's
+    numerators and denominator: c is over the lcm of its values' denominators.
     """
     if nmax < 0:
         raise InvalidParameter(f"nmax must be nonnegative, got {nmax}")
-    a_num, a_den = numerators(a[: nmax + 1])
-    b_num, b_den = numerators(b[: nmax + 1])
+    (a_num, a_den), (b_num, b_den) = a, b
     if len(a_num) <= nmax or len(b_num) <= nmax:
         raise InvalidParameter(f"convolution to index {nmax} needs {nmax + 1} entries per column")
     if weight is not None:
-        a_num = [x * weight[i] for i, x in enumerate(a_num)]
-    den = a_den * b_den * divisor
-    return [Fraction(c, den) if c else ZERO for c in int_convolve(a_num, b_num, 0, nmax, egf=egf)]
+        a_num = list(map(mul, a_num, weight))
+    c, den = int_convolve(a_num, b_num, 0, nmax, egf=egf), a_den * b_den * divisor
+    g = math.gcd(den, *c)
+    return [x // g for x in c], den // g
 
 
 def int_convolve(a: list[int], b: list[int], lo: int, hi: int, *, egf: bool = False) -> list[int]:

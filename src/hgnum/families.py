@@ -14,7 +14,8 @@ coefficients, and keep explicit zeros at odd indices for the two Euler-type
 families so that binomial-convolution identities can index over every n.
 :func:`table` keeps the longest table of each recently used family (a bounded
 memo) and answers shorter requests with a prefix; :func:`via_series` always
-computes afresh.
+computes afresh.  A table's ``column`` is its values as integer numerators over
+one denominator (what the identity checkers read), made once per memo entry.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import enum
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import Callable
 
-from .exact import InvalidParameter, over_running_lcm
+from .exact import InvalidParameter, numerators, over_running_lcm
 from .series import TruncatedSeries, gen_hgcauchy_denom, gen_ratio
 
 
@@ -88,6 +90,8 @@ class FamilyId:
 class NumberTable:
     family: FamilyId
     values: tuple[Fraction, ...]
+    # the memo's table that this one is a prefix of
+    whole: NumberTable | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
@@ -95,6 +99,17 @@ class NumberTable:
     @property
     def nmax(self) -> int:
         return len(self.values) - 1
+
+    @property
+    def column(self) -> tuple[list[int], int]:
+        """The values as integer numerators over one positive denominator; a
+        prefix of a memo entry slices the entry's column."""
+        nums, den = (self.whole or self)._column
+        return nums[: len(self.values)], den
+
+    @cached_property
+    def _column(self) -> tuple[list[int], int]:
+        return numerators(self.values)
 
 
 def _binomial_recurrence(w: int, stride: int, nmax: int) -> tuple[Fraction, ...]:
@@ -159,10 +174,11 @@ def via_series(family: FamilyId, nmax: int) -> NumberTable:
 # The longest table built so far for each of the last MEMO_FAMILIES families
 # asked for, least recently used first.  The identity checkers read the same
 # few families over and over at different lengths; a request no longer than
-# the entry is answered with a prefix of it.  The lock is there because
+# the entry is answered with a prefix of it, and every prefix reads the
+# entry's column, made on the first request for it.  The lock is there because
 # ``table`` is public and may be called from several threads at once.
 MEMO_FAMILIES = 32
-_memo: OrderedDict[FamilyId, tuple[Fraction, ...]] = OrderedDict()
+_memo: OrderedDict[FamilyId, NumberTable] = OrderedDict()
 _memo_lock = threading.Lock()
 
 
@@ -171,16 +187,16 @@ def table(family: FamilyId, nmax: int) -> NumberTable:
     that is long enough."""
     _check_nmax(nmax)
     with _memo_lock:
-        values = _memo.get(family)
-        if values is not None and len(values) > nmax:
+        entry = _memo.get(family)
+        if entry is not None and entry.nmax >= nmax:
             _memo.move_to_end(family)
-            return NumberTable(family, values[: nmax + 1])
-    values = family.spec.recurrence(family.N, nmax)
+            return NumberTable(family, entry.values[: nmax + 1], entry)
+    built = NumberTable(family, family.spec.recurrence(family.N, nmax))
     with _memo_lock:
         held = _memo.get(family)
-        if held is None or len(held) < len(values):
-            _memo[family] = values
+        if held is None or held.nmax < nmax:
+            _memo[family] = built
         _memo.move_to_end(family)
         while len(_memo) > MEMO_FAMILIES:
             _memo.popitem(last=False)
-    return NumberTable(family, values)
+    return built

@@ -3,7 +3,10 @@ range verified and, on failure, the first offending index together with both
 exact sides.
 
 Checkers recompute both sides from number tables or from the series engine,
-never from each other's intermediates.
+never from each other's intermediates.  They run on columns, integer
+numerators over one positive denominator (a table's ``column``): products are
+:func:`~hgnum.exact.convolve`, the sides are compared by cross-multiplication,
+and a value becomes a Fraction only in a witness.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator
 
-from .exact import InvalidParameter, ZERO, convolve, factorial, numerators
+from .exact import InvalidParameter, ZERO, convolve, numerators
 from .families import FamilyId, FamilyKind, table
-from .series import TruncatedSeries, gen_cos, gen_ratio, gen_sin
+from .series import gen_cos, gen_ratio, gen_sin
 
 
 @dataclass(frozen=True)
@@ -40,25 +44,48 @@ def _report(identity_id: str, range_checked: str, failure: FailureWitness | None
     return IdentityReport(identity_id, range_checked, failure is None, failure)
 
 
-def _first_mismatch(
-    identity_id: str,
-    range_checked: str,
-    lhs: Sequence[Fraction],
-    rhs: Sequence[Fraction],
-    first: int = 0,
-) -> IdentityReport:
-    """The report of lhs[n] == rhs[n] for n from ``first`` on."""
-    for n in range(first, min(len(lhs), len(rhs))):
-        if lhs[n] != rhs[n]:
-            return _report(identity_id, range_checked, FailureWitness((n,), lhs[n], rhs[n]))
-    return _report(identity_id, range_checked, None)
+def _first_diff(
+    lhs: tuple[list[int], int], rhs: tuple[list[int], int], first: int = 0, label: str | None = None
+) -> FailureWitness | None:
+    """The witness of the first n >= first, below both lengths, at which the
+    columns lhs and rhs differ, with indices (n,), or (label, n) given a
+    label; None if they agree."""
+    (xs, x_den), (ys, y_den) = lhs, rhs
+    for n in range(first, min(len(xs), len(ys))):
+        if xs[n] * y_den != ys[n] * x_den:
+            indices = (n,) if label is None else (label, n)
+            return FailureWitness(indices, Fraction(xs[n], x_den), Fraction(ys[n], y_den))
+    return None
 
 
-def _ladder(w: int, nmax: int) -> tuple[Fraction, ...]:
-    """The numbers of 1/F_w, F_w = sum w!/(w+2j)! t^{2j}: E_N for w = 2N and
-    Ehat_N for w = 2N+1."""
+def _scaled(column: tuple[list[int], int], factors: Iterable[int]) -> tuple[list[int], int]:
+    """Entry n times factors[n], as long as the shorter of the two."""
+    nums, den = column
+    return list(map(mul, nums, factors)), den
+
+
+def _index_weight(offset: int, nmax: int) -> list[int]:
+    return [offset - k for k in range(nmax + 1)]
+
+
+def _over_factorials(column: tuple[list[int], int], nmax: int) -> tuple[list[int], int]:
+    """v_n / n! for n <= nmax from a column of v: v_n nmax!/n! over den nmax!,
+    reduced by one gcd."""
+    nums, den = column
+    out, f = [], 1
+    for n in range(nmax, -1, -1):
+        out.append(nums[n] * f)
+        f *= max(n, 1)
+    den *= f
+    g = math.gcd(den, *out)
+    return [x // g for x in reversed(out)], den // g
+
+
+def _ladder(w: int, nmax: int) -> tuple[list[int], int]:
+    """The column of numbers of 1/F_w, F_w = sum w!/(w+2j)! t^{2j}: E_N for
+    w = 2N and Ehat_N for w = 2N+1."""
     kind = FamilyKind.COMP_HG_EULER if w % 2 else FamilyKind.HG_EULER
-    return table(FamilyId(kind, w // 2), nmax).values
+    return table(FamilyId(kind, w // 2), nmax).column
 
 
 # B_n: the hypergeometric Bernoulli numbers at N = 1
@@ -67,51 +94,47 @@ _BERNOULLI = FamilyId(FamilyKind.HG_BERNOULLI, 1)
 
 def check_euler_pair_sum(nmax: int) -> IdentityReport:
     """sum_i C(2n, 2i) E_{2i} = 0 for 1 <= n <= nmax."""
-    e = _ladder(0, 2 * nmax)
+    nums, den = _ladder(0, 2 * nmax)
     # the EGF product of the even part of E with e^t, read at the even indices
-    even = [v if i % 2 == 0 else ZERO for i, v in enumerate(e)]
-    sums = convolve(even, [1] * (2 * nmax + 1), 2 * nmax, egf=True)
-    return _first_mismatch(
-        "euler-pair-sum", f"1 <= n <= {nmax}", sums[::2], [ZERO] * (nmax + 1), first=1
-    )
+    even = [v if i % 2 == 0 else 0 for i, v in enumerate(nums)]
+    sums, s_den = convolve((even, den), ([1] * len(even), 1), 2 * nmax, egf=True)
+    zeros = ([0] * len(sums), 1)
+    witness = _first_diff((sums[::2], s_den), zeros, first=1)
+    return _report("euler-pair-sum", f"1 <= n <= {nmax}", witness)
 
 
 def check_E1_bernoulli(nmax: int) -> IdentityReport:
     """E_{1,n} = -(n-1) B_n for 1 <= n <= nmax."""
-    e1 = _ladder(2, nmax)
-    b = table(_BERNOULLI, nmax)
-    rhs = [-(n - 1) * b[n] for n in range(nmax + 1)]
-    return _first_mismatch("e1-bernoulli", f"1 <= n <= {nmax}", e1, rhs, first=1)
+    rhs = _scaled(table(_BERNOULLI, nmax).column, _index_weight(1, nmax))
+    return _report("e1-bernoulli", f"1 <= n <= {nmax}", _first_diff(_ladder(2, nmax), rhs, first=1))
 
 
 def check_bernoulli_lemma(nmax: int) -> IdentityReport:
     """sum_i (i-1) B_i / ((n-i+2)! i!) is 0 for even n and -B_{n+1}/n! for odd n."""
-    b = table(_BERNOULLI, nmax + 1)
-    lhs = convolve(
-        [b[i] / math.factorial(i) for i in range(nmax + 1)],
-        [Fraction(1, math.factorial(j + 2)) for j in range(nmax + 1)],
-        nmax,
-        weight=[i - 1 for i in range(nmax + 1)],
-    )
-    rhs = [ZERO if n % 2 == 0 else -b[n + 1] / factorial(n) for n in range(nmax + 1)]
-    return _first_mismatch("bernoulli-lemma", f"1 <= n <= {nmax}", lhs, rhs, first=1)
+    b, den = table(_BERNOULLI, nmax + 1).column
+    inv_fact, f_den = _over_factorials(([1] * (nmax + 3), 1), nmax + 2)
+    weight = [i - 1 for i in range(nmax + 1)]
+    lhs = convolve(_over_factorials((b, den), nmax), (inv_fact[2:], f_den), nmax, weight=weight)
+    rhs = _over_factorials(([-b[n + 1] if n % 2 else 0 for n in range(nmax + 1)], den), nmax)
+    return _report("bernoulli-lemma", f"1 <= n <= {nmax}", _first_diff(lhs, rhs, first=1))
 
 
-def y2_column(N: int, nmax: int) -> list[Fraction]:
+def y2_column(N: int, nmax: int) -> tuple[list[int], int]:
     """Pair sums of products y2(N, n) = sum_i C(2n, 2i) E_{N,2i} E_{N,2n-2i}
-    for 0 <= n <= nmax, all from one table and one EGF square."""
+    for 0 <= n <= nmax, as a column, all from one table and one EGF square."""
     e = _ladder(2 * N, 2 * nmax)
-    return convolve(e, e, 2 * nmax, egf=True)[::2]
+    nums, den = convolve(e, e, 2 * nmax, egf=True)
+    return nums[::2], den
 
 
 def check_tangent_closed_form(nmax: int) -> IdentityReport:
     """y2(0, n) = 2^{2n+2} (2^{2n+2} - 1) B_{2n+2} / (2n+2) for 0 <= n <= nmax."""
-    b = table(_BERNOULLI, 2 * nmax + 2)
-    rhs = []
-    for n in range(nmax + 1):
-        p = 2 ** (2 * n + 2)
-        rhs.append(Fraction(p * (p - 1)) * b[2 * n + 2] / (2 * n + 2))
-    return _first_mismatch("tangent", f"0 <= n <= {nmax}", y2_column(0, nmax), rhs)
+    b, den = table(_BERNOULLI, 2 * (nmax + 1)).column
+    # p = 2^{2n+2}, and every 1/(2n+2) over their lcm
+    lcm, ps = math.lcm(*range(2, 2 * nmax + 3, 2)), [4 ** (n + 1) for n in range(nmax + 1)]
+    rhs = [p * (p - 1) * b[2 * n + 2] * (lcm // (2 * n + 2)) for n, p in enumerate(ps)]
+    witness = _first_diff(y2_column(0, nmax), (rhs, den * lcm))
+    return _report("tangent", f"0 <= n <= {nmax}", witness)
 
 
 def tangent_complex_sum(n: int) -> tuple[Fraction, Fraction]:
@@ -134,32 +157,31 @@ def check_tangent_complex_sum(nmax: int) -> IdentityReport:
     imaginary part against 0.
     """
     rng = f"0 <= n <= {nmax}"
-    expected = y2_column(0, nmax)
+    expected, den = y2_column(0, nmax)
     for n in range(nmax + 1):
         re, im = tangent_complex_sum(n)
         if im:
             return _report("tangent-complex", rng, FailureWitness(("imag", n), im, ZERO))
-        if re != expected[n]:
-            return _report("tangent-complex", rng, FailureWitness((n,), re, expected[n]))
+        if re.numerator * den != expected[n] * re.denominator:
+            witness = FailureWitness((n,), re, Fraction(expected[n], den))
+            return _report("tangent-complex", rng, witness)
     return _report("tangent-complex", rng, None)
 
 
 def check_tan_maclaurin(nmax: int) -> IdentityReport:
     """Odd tan coefficients are (-1)^n y2(0, n) / (2n+1)!; even ones vanish."""
-    order = 2 * nmax + 1
-    tan = gen_sin(order) * gen_cos(order).reciprocal()
+    order, rng = 2 * nmax + 1, f"0 <= n <= {nmax}"
+    sin, sec = gen_sin(order), gen_cos(order).reciprocal()
+    tan, den = convolve(numerators(sin.coeffs), numerators(sec.coeffs), order)
     for m in range(0, order + 1, 2):
-        if tan[m] != 0:
-            return _report(
-                "tan-maclaurin", f"0 <= n <= {nmax}", FailureWitness((m,), tan[m], ZERO)
-            )
-    y = y2_column(0, nmax)
-    rhs = [Fraction((-1) ** n) * y[n] / factorial(2 * n + 1) for n in range(nmax + 1)]
-    return _first_mismatch("tan-maclaurin", f"0 <= n <= {nmax}", tan.coeffs[1::2], rhs)
-
-
-def _index_weight(offset: int, nmax: int) -> list[int]:
-    return [offset - k for k in range(nmax + 1)]
+        if tan[m]:
+            return _report("tan-maclaurin", rng, FailureWitness((m,), Fraction(tan[m], den), ZERO))
+    y, y_den = y2_column(0, nmax)
+    # (-1)^n y2(0, n) at t^{2n+1}, then over (2n+1)!
+    signed = [0] * (order + 1)
+    signed[1::2] = [-v if n % 2 else v for n, v in enumerate(y)]
+    rhs, r_den = _over_factorials((signed, y_den), order)
+    return _report("tan-maclaurin", rng, _first_diff((tan[1::2], den), (rhs[1::2], r_den)))
 
 
 def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
@@ -168,7 +190,7 @@ def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
     x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
     lhs = convolve(x, x, nmax, egf=True)
     rhs = convolve(x, y, nmax, egf=True, weight=_index_weight(w, nmax), divisor=w)
-    return _first_mismatch(identity_id, f"0 <= n <= {nmax}", lhs, rhs)
+    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(lhs, rhs))
 
 
 def check_sumprod_pair(N: int, nmax: int) -> IdentityReport:
@@ -185,11 +207,6 @@ def check_sumprod_pair_comp(N: int, nmax: int) -> IdentityReport:
     return _sumprod_pair(f"sumprod-pair-comp(N={N})", 2 * N + 1, nmax)
 
 
-def _egf_cube(values: Sequence[Fraction], nmax: int) -> list[Fraction]:
-    # n! [t^n] (sum v_i t^i / i!)^3 for n = 0..nmax
-    return convolve(convolve(values, values, nmax, egf=True), values, nmax, egf=True)
-
-
 def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
     """Trinomial sums of products, with x and y the numbers of 1/F_w and
     1/F_{w-1}:
@@ -202,10 +219,9 @@ def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
     """
     x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
     inner = convolve(x, y, nmax, egf=True, weight=_index_weight(w, nmax))
-    rhs = convolve(
-        inner, y, nmax, egf=True, weight=_index_weight(2 * w, nmax), divisor=2 * w * w
-    )
-    return _first_mismatch(identity_id, f"0 <= n <= {nmax}", _egf_cube(x, nmax), rhs)
+    rhs = convolve(inner, y, nmax, egf=True, weight=_index_weight(2 * w, nmax), divisor=2 * w * w)
+    cube = convolve(convolve(x, x, nmax, egf=True), x, nmax, egf=True)
+    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(cube, rhs))
 
 
 def check_sumprod_trinomial(N: int, nmax: int) -> IdentityReport:
@@ -225,36 +241,10 @@ def check_sumprod_trinomial_comp(N: int, nmax: int) -> IdentityReport:
     return _sumprod_trinomial(f"sumprod-trinomial-comp(N={N})", 2 * N + 1, nmax)
 
 
-def _first_diff(
-    label: str, lhs: TruncatedSeries, rhs: TruncatedSeries, upto: int
-) -> FailureWitness | None:
-    m = min(lhs.order, rhs.order, upto)
-    for k in range(m + 1):
-        if lhs[k] != rhs[k]:
-            return FailureWitness((label, k), lhs[k], rhs[k])
-    return None
-
-
-def _first_scaled_diff(
-    label: str,
-    x: tuple[list[int], int],
-    x_factors: Sequence[int],
-    y: tuple[list[int], int],
-    y_factors: Sequence[int],
-) -> FailureWitness | None:
-    """The first m, below the length of the factor lists, where
-    x_factors[m] x_m != y_factors[m] y_m.
-
-    x and y are columns as integer numerators over one denominator (see
-    :func:`numerators`), so each side is compared by cross-multiplication and
-    becomes a Fraction only in a witness.
-    """
-    (xs, x_den), (ys, y_den) = x, y
-    for m, (p, q) in enumerate(zip(x_factors, y_factors)):
-        lhs, rhs = p * xs[m], q * ys[m]
-        if lhs * y_den != rhs * x_den:
-            return FailureWitness((label, m), Fraction(lhs, x_den), Fraction(rhs, y_den))
-    return None
+def _derivative(column: tuple[list[int], int]) -> tuple[list[int], int]:
+    """d/dt of the series with the column's coefficients, one entry shorter."""
+    nums, den = column
+    return [k * c for k, c in enumerate(nums) if k], den
 
 
 def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
@@ -262,42 +252,42 @@ def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
 
     The derivative identities are linear in one series each: the coefficient
     of t^m on either side is an integer multiple of that series' own t^m
-    coefficient, so they are checked on integer numerators.
+    coefficient, so each side is one column with its entries scaled.
     """
     # the ladder F_k = sum k!/(k+2j)! t^{2j} for k = 0..2N: F = F_{2N},
     # F* = F_{2N-1} and cosh t = F_0
-    rungs = [gen_ratio(k, 2, M) for k in range(2 * N + 1)]
-    f, fk = rungs[2 * N], [numerators(s.coeffs) for s in rungs]
-    # 2N F + t F' = 2N F*
-    yield _first_scaled_diff(
-        "scaled-derivative", fk[2 * N], [2 * N + m for m in range(M)], fk[2 * N - 1], [2 * N] * M
-    )
-    # ladder: k F_{(2N-k)} + t F_{(2N-k)}' = k F_{(2N-k+1)}
-    for k in range(1, 2 * N + 1):
-        yield _first_scaled_diff(
-            f"ladder(k={k})", fk[k], [k + m for m in range(M)], fk[k - 1], [k] * M
-        )
+    fk = [numerators(gen_ratio(k, 2, M).coeffs) for k in range(2 * N + 1)]
+    # k F_k + t F_k' = k F_{k-1}: at k = 2N, 2N F + t F' = 2N F*, and then
+    # each rung of the ladder
+    rungs = [(2 * N, "scaled-derivative")] + [(k, f"ladder(k={k})") for k in range(1, 2 * N + 1)]
+    for k, label in rungs:
+        lhs = _scaled(fk[k], [k + m for m in range(M)])
+        yield _first_diff(lhs, _scaled(fk[k - 1], [k] * M), label=label)
     # cosh expansion in derivatives of the ladder series:
     # sum_i C(k,i) t^i f^{(i)}/i! = cosh t, and the divided-power derivative
-    # f^{(i)}/i! takes c_m t^m to C(m,i) c_m t^{m-i}
-    for k in range(2 * N + 1):
-        ht = [
-            sum(math.comb(k, i) * math.comb(m, i) for i in range(k + 1)) for m in range(M - k + 1)
-        ]
-        yield _first_scaled_diff(f"cosh-expansion(k={k})", fk[k], ht, fk[0], [1] * len(ht))
+    # f^{(i)}/i! takes c_m t^m to C(m,i) c_m t^{m-i}, so the left side has
+    # sum_i C(k,i) C(m,i) c_m = C(k+m, k) c_m at t^m (Vandermonde); at k = 0
+    # both sides are F_0, so the check starts at k = 1
+    for k in range(1, 2 * N + 1):
+        ht = [math.comb(k + m, k) for m in range(M - k + 1)]
+        yield _first_diff(_scaled(fk[k], ht), fk[0], label=f"cosh-expansion(k={k})")
+    if M == 0:
+        return
     # 1/F and 1/F* are the EGFs of the hg-euler(N) and comp-hg-euler(N-1)
-    # tables: F* is comp-hg-euler(N-1)'s denominator.
-    inv_f = TruncatedSeries.from_egf(_ladder(2 * N, M))
-    inv_fstar = TruncatedSeries.from_egf(_ladder(2 * N - 1, M))
+    # tables (F* is comp-hg-euler(N-1)'s denominator); each is compared to
+    # t^{M-1}
+    top, f = M - 1, fk[2 * N]
+    x, y = _over_factorials(_ladder(2 * N, M), M), _over_factorials(_ladder(2 * N - 1, top), top)
     # F' = -F^2 (1/F)'
-    yield _first_diff("reciprocal-derivative", f.derivative(), -(f * f * inv_f.derivative()), M - 1)
-    # 1/F^2 = (1/F*) (1/F - t/(2N) (1/F)')
-    inv_f2 = inv_f * inv_f
-    rhs = inv_fstar * (inv_f - inv_f.derivative().times_t().scale(Fraction(1, 2 * N)))
-    yield _first_diff("inv-square", inv_f2, rhs, M - 1)
+    nums, den = convolve(convolve(f, f, top), _derivative(x), top)
+    yield _first_diff(_derivative(f), ([-c for c in nums], den), label="reciprocal-derivative")
+    # 1/F^2 = (1/F*) (1/F - t/(2N) (1/F)'), where t (1/F)' has n x_n at t^n
+    x2 = convolve(x, x, top)
+    rhs = convolve(x, y, top, weight=_index_weight(2 * N, top), divisor=2 * N)
+    yield _first_diff(x2, rhs, label="inv-square")
     # 1/F^3 = (1/F*) (1/F^2 - t/(4N) (1/F^2)')
-    rhs3 = inv_fstar * (inv_f2 - inv_f2.derivative().times_t().scale(Fraction(1, 4 * N)))
-    yield _first_diff("inv-cube", inv_f * inv_f2, rhs3, M - 1)
+    rhs3 = convolve(x2, y, top, weight=_index_weight(4 * N, top), divisor=4 * N)
+    yield _first_diff(convolve(x, x2, top), rhs3, label="inv-cube")
 
 
 def check_series_identities(N: int, M: int) -> IdentityReport:

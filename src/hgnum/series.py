@@ -1,13 +1,13 @@
 """Truncated formal power series over exact rationals.
 
 A :class:`TruncatedSeries` knows its coefficients c_0..c_M exactly and nothing
-beyond t^M.  Arithmetic truncates to the smallest order among the operands;
-differentiation loses one order.  All values are immutable.  The class has the
-operations the families and the identity checkers use (products, and the Newton
-reciprocal on :func:`~hgnum.exact.int_convolve`, whose middle products run on
-:func:`~hgnum.exact.chain_convolve` where the series is hypergeometric) and the
-paper's Hasse-Teichmuller (divided-power) derivative, which the acceptance
-tests check.
+beyond t^M.  Arithmetic truncates to the smallest order among the operands.
+All values are immutable.  The class has the Newton reciprocal, on
+:func:`~hgnum.exact.int_convolve` with middle products on
+:func:`~hgnum.exact.chain_convolve` where the series is hypergeometric, which
+the families and the tan checker use; products, on :func:`~hgnum.exact.convolve`
+with Fractions made at the end; and the paper's Hasse-Teichmuller
+(divided-power) derivative, which the acceptance tests check.
 
 The module also provides constructors for every generating function the number
 families and identity checkers need: one for the factorial-ratio series
@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import (
     InvalidParameter, ONE, ZERO, chain_convolve, convolve, factorial, int_convolve, numerators,
+    to_fractions,
 )
 
 
@@ -62,13 +62,10 @@ class TruncatedSeries:
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-c for c in self.coeffs))
 
-    def scale(self, r: Fraction | int) -> "TruncatedSeries":
-        r = Fraction(r)
-        return TruncatedSeries(tuple(r * c for c in self.coeffs))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         m = min(self.order, other.order)
-        return TruncatedSeries(tuple(convolve(self.coeffs, other.coeffs, m)))
+        product = convolve(numerators(self.coeffs), numerators(other.coeffs), m)
+        return TruncatedSeries(tuple(to_fractions(product)))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Series r with self * r = 1 up to the truncation order, by Newton's
@@ -99,12 +96,6 @@ class TruncatedSeries:
             p = q
         return TruncatedSeries(tuple(r))
 
-    def derivative(self) -> "TruncatedSeries":
-        """d/dt; order drops by one (a constant differentiates to the zero series)."""
-        if self.order == 0:
-            return TruncatedSeries.zero(0)
-        return TruncatedSeries(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
-
     def hasse_teichmuller(self, n: int) -> "TruncatedSeries":
         """Divided-power derivative: c_m t^m maps to c_m C(m,n) t^{m-n}."""
         if n < 0:
@@ -116,15 +107,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             tuple(self.coeffs[m] * math.comb(m, n) for m in range(n, self.order + 1))
         )
-
-    def times_t(self) -> "TruncatedSeries":
-        """Multiply by t, keeping the same truncation order."""
-        return TruncatedSeries((ZERO,) + self.coeffs[:-1] if self.order > 0 else (ZERO,))
-
-    @staticmethod
-    def from_egf(values: Sequence[Fraction]) -> "TruncatedSeries":
-        """The series sum v_n t^n / n! whose EGF values are ``values``."""
-        return TruncatedSeries(tuple(v / math.factorial(n) for n, v in enumerate(values)))
 
     def egf_values(self) -> tuple[Fraction, ...]:
         """The numbers n! * c_n: the sequence this series is an EGF of."""

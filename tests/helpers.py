@@ -1,6 +1,8 @@
 """Helpers and oracles that only the tests use: the package has no caller for
 any of them.  Among them are the ``Fraction`` loops that the integer number
-recurrence and the Newton reciprocal replaced, kept as their references, and
+recurrence and the Newton reciprocal replaced, kept as their references, the
+``Fraction`` series arithmetic (``derivative``, ``times_t``, ``scale``,
+``from_egf``) that the oracles of the integer-column identity checkers use, and
 two checks of the paper's results that no CLI command runs: its printed
 closed forms of E_{N,k} and Ehat_{N,k} for k = 2, 4, 6, 8 (``closed_small``,
 criterion 2) and the matrix-inverse pairing of each family's numbers with its
@@ -9,6 +11,7 @@ weights (``inverse_pair_check``, criterion 9)."""
 import math
 from fractions import Fraction as F
 
+from hgnum import identities
 from hgnum.exact import InvalidParameter, compositions, factorial
 from hgnum.families import SPECS, FamilyId, FamilyKind, table
 from hgnum.identities import FailureWitness, IdentityReport
@@ -95,6 +98,29 @@ def forward_reciprocal(series):
     return TruncatedSeries(tuple(r))
 
 
+def scale(series, r):
+    """r times the series."""
+    r = F(r)
+    return TruncatedSeries(tuple(r * c for c in series.coeffs))
+
+
+def derivative(series):
+    """d/dt; the order drops by one (a constant differentiates to the zero series)."""
+    if series.order == 0:
+        return TruncatedSeries.zero(0)
+    return TruncatedSeries(tuple((k + 1) * series[k + 1] for k in range(series.order)))
+
+
+def times_t(series):
+    """t times the series, at the same truncation order."""
+    return TruncatedSeries((F(0),) + series.coeffs[:-1])
+
+
+def from_egf(values):
+    """The series sum v_n t^n / n! whose EGF values are ``values``."""
+    return TruncatedSeries(tuple(F(v) / math.factorial(n) for n, v in enumerate(values)))
+
+
 def monomial(k, order):
     """t^k as a series truncated at ``order``."""
     return TruncatedSeries(tuple(F(int(i == k)) for i in range(order + 1)))
@@ -110,30 +136,30 @@ def series_identities_oracle(N, M):
     same order, with the divided-power derivative summed term by term."""
     f = gen_ratio(2 * N, 2, M)
     fstar = gen_ratio(2 * N - 1, 2, M)
-    inv_f = TruncatedSeries.from_egf(table(FamilyId(FamilyKind.HG_EULER, N), M).values)
-    inv_fstar = TruncatedSeries.from_egf(table(FamilyId(FamilyKind.COMP_HG_EULER, N - 1), M).values)
+    inv_f = from_egf(table(FamilyId(FamilyKind.HG_EULER, N), M).values)
+    inv_fstar = from_egf(table(FamilyId(FamilyKind.COMP_HG_EULER, N - 1), M).values)
     checks = [
-        ("scaled-derivative", f.scale(2 * N) + f.derivative().times_t(), fstar.scale(2 * N), M - 1)
+        ("scaled-derivative", scale(f, 2 * N) + times_t(derivative(f)), scale(fstar, 2 * N), M - 1)
     ]
     for k in range(1, 2 * N + 1):
         fk = gen_ratio(k, 2, M)
-        lhs = fk.scale(k) + fk.derivative().times_t()
-        checks.append((f"ladder(k={k})", lhs, gen_ratio(k - 1, 2, M).scale(k), M - 1))
+        lhs = scale(fk, k) + times_t(derivative(fk))
+        checks.append((f"ladder(k={k})", lhs, scale(gen_ratio(k - 1, 2, M), k), M - 1))
     cosh = gen_ratio(0, 2, M)
-    for k in range(0, 2 * N + 1):
+    for k in range(1, 2 * N + 1):
         fk = gen_ratio(k, 2, M)
         acc = TruncatedSeries.zero(M - k if M >= k else 0)
         for i in range(k + 1):
-            term = fk.hasse_teichmuller(i).scale(math.comb(k, i))
+            term = scale(fk.hasse_teichmuller(i), math.comb(k, i))
             for _ in range(i):
-                term = term.times_t()
+                term = times_t(term)
             acc = acc + term
         checks.append((f"cosh-expansion(k={k})", acc, cosh, M - k))
-    checks.append(("reciprocal-derivative", f.derivative(), -(f * f * inv_f.derivative()), M - 1))
-    rhs = inv_fstar * (inv_f - inv_f.derivative().times_t().scale(F(1, 2 * N)))
+    checks.append(("reciprocal-derivative", derivative(f), -(f * f * derivative(inv_f)), M - 1))
+    rhs = inv_fstar * (inv_f - scale(times_t(derivative(inv_f)), F(1, 2 * N)))
     checks.append(("inv-square", inv_f * inv_f, rhs, M - 1))
     inv_f2 = inv_f * inv_f
-    rhs3 = inv_fstar * (inv_f2 - inv_f2.derivative().times_t().scale(F(1, 4 * N)))
+    rhs3 = inv_fstar * (inv_f2 - scale(times_t(derivative(inv_f2)), F(1, 4 * N)))
     checks.append(("inv-cube", inv_f * inv_f2, rhs3, M - 1))
 
     witness = None
@@ -145,6 +171,33 @@ def series_identities_oracle(N, M):
         if witness is not None:
             break
     return IdentityReport(f"series-identities(N={N})", f"order {M}", witness is None, witness)
+
+
+def sumprod_oracle(N, nmax, trinomial):
+    """The first failure of ``check_sumprod_pair(N, nmax)`` (or, with
+    ``trinomial``, of ``check_sumprod_trinomial``), or None: both sides of each
+    n summed term by term in ``Fraction`` arithmetic, from the tables that
+    ``identities.table`` serves, so a table doctored there reaches it too."""
+    x = identities.table(FamilyId(FamilyKind.HG_EULER, N), nmax)
+    y = identities.table(FamilyId(FamilyKind.COMP_HG_EULER, N - 1), nmax)
+    w, fact = 2 * N, math.factorial
+    for n in range(nmax + 1):
+        if trinomial:
+            lhs = sum(
+                F(fact(n), fact(i) * fact(j) * fact(n - i - j)) * x[i] * x[j] * x[n - i - j]
+                for i in range(n + 1) for j in range(n - i + 1)
+            )
+            rhs = sum(
+                math.comb(n, m) * math.comb(m, k) * F((2 * w - m) * (w - k), 2 * w * w)
+                * x[k] * y[n - m] * y[m - k]
+                for m in range(n + 1) for k in range(m + 1)
+            )
+        else:
+            lhs = sum(math.comb(n, i) * x[i] * x[n - i] for i in range(n + 1))
+            rhs = sum(math.comb(n, k) * F(w - k, w) * x[k] * y[n - k] for k in range(n + 1))
+        if lhs != rhs:
+            return FailureWitness((n,), lhs, rhs)
+    return None
 
 
 # The modular oracle: each family's numbers modulo the prime P, from the

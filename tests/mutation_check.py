@@ -1,6 +1,7 @@
-"""Mutation check for the integer kernels, run as a CI job of its own.
+"""Mutation check for the integer kernels and the identity checkers, run as a
+CI job of its own.
 
-    python tests/mutation_check.py [module ...]     # default: exact series families linalg
+    python tests/mutation_check.py [module ...]     # default: every module in TESTS
 
 Each mutant of ``src/hgnum/<module>.py`` changes one thing: it swaps one
 ``+``/``-`` or ``*``/``//``, turns one comparison into its neighbour, or adds
@@ -35,6 +36,7 @@ TESTS = {
     "families": ["test_families.py", "test_family_spec.py", "test_table_memo.py",
                  "test_integer_kernels.py", "test_modular_oracle.py"],
     "linalg": ["test_linalg.py", "test_integer_kernels.py"],
+    "identities": ["test_identities.py", "test_series_identities.py", "test_convolution.py"],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -43,8 +45,6 @@ SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv
 EQUIVALENT = {
     "exact: if t > 1: :: t > 1 -> t >= 1": "dividing by 1! changes nothing",
     "exact: if min(ts, default=0) < 0: :: 0 -> 1": "an empty ts is not negative either way",
-    "exact: b_num, b_den = numerators(b[: nmax + 1]) :: 1 -> 2":
-        "an entry of b past nmax enters only the common denominator, which cancels",
     "exact: if hi - lo < 32: :: hi - lo < 32 -> hi - lo <= 32":
         "the bound only picks which of two equal loops runs",
     "exact: if hi - lo < 32: :: hi - lo -> hi + lo": "the bound only picks which of two equal loops runs",
@@ -67,17 +67,62 @@ EQUIVALENT = {
         "the two extra entries of e enter only the gcd, which still divides the rest",
     "series: rho = [x // y for x, y in zip([0] + on, on)] if chain else None :: 0 -> 1":
         "rho[0] only multiplies chain_convolve's initial 0",
-    "series: return TruncatedSeries((ZERO,) + self.coeffs[:-1] if self.order > 0 else (ZERO,))"
-    " :: self.order > 0 -> self.order >= 0": "at order 0 both branches give (0,)",
     "families: den = 1 :: 1 -> 2": "any common multiple of N+1..N+n serves as D and cancels",
     "families: row = [1] :: 1 -> 2":
         "a doubled row stays doubled under Pascal's rule and cancels in sum / C(w+n, n)",
-    "families: if held is None or len(held) < len(values): :: len(held) < len(values)"
-    " -> len(held) <= len(values)": "an entry of the same length holds the same values",
+    "families: if held is None or held.nmax < nmax: :: held.nmax < nmax -> held.nmax <= nmax":
+        "an entry of the same length holds the same values",
     "families: return 0, 1 :: 1 -> 2": "off the stride the value is 0 over any denominator",
     "families: acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1) :: n - k -> n + k":
         "n - k and n + k have the same parity",
     "linalg: by_parts = [0] * (m + 1) :: 1 -> 2": "by_parts gains a slot that is never read",
+    "identities: out, f = [], 1 :: 1 -> 2":
+        "every numerator and the denominator gain a factor 2, which the gcd takes out",
+    "identities: zeros = ([0] * len(sums), 1) :: 1 -> 2": "0 is 0 over any denominator",
+    "identities: nums, den = _ladder(0, 2 * nmax) :: 2 -> 3":
+        "a longer table: the product reads it to index 2 nmax",
+    "identities: e = _ladder(2 * N, 2 * nmax) :: 2 -> 3":
+        "a longer table: the product reads it to index 2 nmax",
+    "identities: b, den = table(_BERNOULLI, nmax + 1).column :: 1 -> 2":
+        "a longer table: both sides read it to index nmax + 1",
+    "identities: b, den = table(_BERNOULLI, 2 * (nmax + 1)).column :: 2 -> 3":
+        "a longer table: the right side reads it to index 2 nmax + 2",
+    "identities: b, den = table(_BERNOULLI, 2 * (nmax + 1)).column :: 1 -> 2":
+        "a longer table: the right side reads it to index 2 nmax + 2",
+    "identities: return [offset - k for k in range(nmax + 1)] :: 1 -> 2":
+        "a longer weight list: the products read its first nmax + 1 entries",
+    "identities: weight = [i - 1 for i in range(nmax + 1)] :: 1 -> 2":
+        "a longer weight list: the product reads its first nmax + 1 entries",
+    "identities: inv_fact, f_den = _over_factorials(([1] * (nmax + 3), 1), nmax + 2) :: 3 -> 4":
+        "a longer column of ones: its first nmax + 3 entries are read",
+    "identities: lcm, ps = math.lcm(*range(2, 2 * nmax + 3, 2)),"
+    " [4 ** (n + 1) for n in range(nmax + 1)] :: 3 -> 4":
+        "any common multiple of 2, 4, ..., 2 nmax + 2 serves as the denominator",
+    "identities: lcm, ps = math.lcm(*range(2, 2 * nmax + 3, 2)),"
+    " [4 ** (n + 1) for n in range(nmax + 1)] :: 2 -> 3":
+        "any common multiple of 2, 4, ..., 2 nmax + 2 serves as the denominator",
+    "identities: for k in range(1, 2 * n + 3): :: 1 -> 2":
+        "the k = 1 term is 0: -C(1, 0) + C(1, 1)",
+    "identities: for k in range(1, 2 * n + 3): :: 2 -> 3":
+        "a term past k = 2n + 2 is a k-th difference of a polynomial of degree 2n + 2: 0",
+    "identities: for k in range(1, 2 * n + 3): :: 3 -> 4":
+        "a term past k = 2n + 2 is a k-th difference of a polynomial of degree 2n + 2: 0",
+    "identities: math.comb(k, j) * (-1) ** (j + 1) * (k - 2 * j) ** (2 * n + 2)"
+    " for j in range(k + 1) :: 1 -> 2": "the term j = k + 1 has C(k, k + 1) = 0",
+    "identities: math.comb(k, j) * (-1) ** (j + 1) * (k - 2 * j) ** (2 * n + 2)"
+    " for j in range(k + 1) :: math.comb(k, j) * (-1) ** (j + 1)"
+    " -> math.comb(k, j) // (-1) ** (j + 1)":
+        "dividing an int by -1 or 1 is multiplying by it",
+    "identities: parts[k % 2] += term if k % 4 in (0, 3) else -term :: 3 -> 4":
+        "a term of odd k is 0 (j -> k - j negates it), so its sign never matters",
+    "identities: order, rng = 2 * nmax + 1, f\"0 <= n <= {nmax}\" :: 1 -> 2":
+        "tan to one more power: a zero even coefficient and the same odd ones",
+    "identities: signed = [0] * (order + 1) :: 0 -> 1": "only the odd entries are compared",
+    "identities: signed = [0] * (order + 1) :: 1 -> 2": "an entry past t^order is never read",
+    "identities: fk = [numerators(gen_ratio(k, 2, M).coeffs) for k in range(2 * N + 1)] :: 1 -> 2":
+        "a ladder series past F_2N is built and never read",
+    "identities: fk = [numerators(gen_ratio(k, 2, M).coeffs) for k in range(2 * N + 1)] :: 2 -> 3":
+        "ladder series past F_2N are built and never read",
 }
 
 

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 from hgnum.closed_forms import table_routes, value
-from hgnum.exact import binomial, compositions, factorial
+from hgnum.exact import binomial, compositions, factorial, to_fractions
 from hgnum.families import FamilyId, FamilyKind, table, via_series
 from hgnum.goldens import TABLE1
 from hgnum.identities import (
@@ -28,7 +28,7 @@ from hgnum.identities import (
 from hgnum.linalg import hessenberg_det_prefixes
 from hgnum.series import TruncatedSeries
 
-from helpers import closed_small, inverse_pair_check
+from helpers import closed_small, inverse_pair_check, scale
 
 EULER = FamilyKind.HG_EULER
 COMP = FamilyKind.COMP_HG_EULER
@@ -103,7 +103,7 @@ def test_criterion_3_bernoulli_relation():
 def test_criterion_4_tangent_numbers():
     expected = [1, -2, 16, -272, 7936, -353792, 22368256, -1903757312]
     for n, v in enumerate(expected):
-        assert y2_column(0, n)[n] == v, n
+        assert to_fractions(y2_column(0, n))[n] == v, n
     assert check_tangent_closed_form(8).passed
     assert check_tangent_complex_sum(8).passed
     assert check_tan_maclaurin(12).passed
@@ -196,7 +196,7 @@ def _ht_quotient_rules_hold(f, n):
             term = inv_pows[k]
             for p in parts:
                 term = term * ht[p]
-            rhs1 = rhs1 + term.scale((-1) ** k)
+            rhs1 = rhs1 + scale(term, (-1) ** k)
     # binomial-weighted weak-composition form
     rhs2 = TruncatedSeries.zero(order)
     for k in range(1, n + 1):
@@ -205,7 +205,7 @@ def _ht_quotient_rules_hold(f, n):
             term = inv_pows[k]
             for p in parts:
                 term = term * ht[p]
-            rhs2 = rhs2 + term.scale(weight)
+            rhs2 = rhs2 + scale(term, weight)
     upto = order - n
     return _agree(lhs, rhs1, upto) and _agree(lhs, rhs2, upto)
 

@@ -16,10 +16,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgnum import identities
-from hgnum.exact import InvalidParameter, ZERO, binomial, convolve, factorial
+from hgnum.exact import (
+    InvalidParameter, ZERO, binomial, convolve, factorial, numerators, to_fractions,
+)
 from hgnum.families import FamilyId, FamilyKind, NumberTable
 from hgnum.identities import FailureWitness, IdentityReport
 from hgnum.series import TruncatedSeries
+
+from helpers import sumprod_oracle
 
 
 EULER = FamilyKind.HG_EULER
@@ -205,6 +209,12 @@ def reference_euler_pair_sum(nmax):
     )
 
 
+def reference_e1_bernoulli(nmax):
+    e1 = numbers(EULER, 1, nmax)
+    b = numbers(BERNOULLI, 1, nmax)
+    return reference_from_one("e1-bernoulli", nmax, lambda n: e1[n], lambda n: -(n - 1) * b[n])
+
+
 def reference_bernoulli_lemma(nmax):
     b = numbers(BERNOULLI, 1, nmax + 1)
     return reference_from_one(
@@ -236,6 +246,8 @@ TABLE_SUMS = [
      lambda i: i % 2 == 1),
     (identities.check_bernoulli_lemma, reference_bernoulli_lemma, "hg-bernoulli", 1,
      lambda i: i == 1),  # B_1 carries the weight 1 - 1 = 0
+    (identities.check_E1_bernoulli, reference_e1_bernoulli, "hg-euler", 1,
+     lambda i: i == 0),  # the identity starts at n = 1
 ]
 
 
@@ -249,48 +261,74 @@ entries = st.one_of(
 )
 
 
+# Columns short and long, on both sides of int_convolve's switch at 32
+# coefficients, with zeros (the multiples of 3 drawn, about a third),
+# negative numerators and denominators that share factors with them, so that
+# the one gcd of the product has work to do.
+def numerator_lists(size):
+    return st.lists(st.integers(-10**15, 10**15), min_size=size, max_size=size + 3).map(
+        lambda xs: [x if x % 3 else 0 for x in xs])
+
+
 @st.composite
-def convolution_cases(draw):
-    length = draw(st.integers(1, 14))
-    a = draw(st.lists(entries, min_size=length, max_size=length + 3))
-    b = draw(st.lists(entries, min_size=length, max_size=length + 3))
-    nmax = draw(st.integers(0, length - 1))
+def column_cases(draw):
+    nmax = draw(st.one_of(st.integers(0, 14), st.integers(26, 40)))
+    a, b = draw(numerator_lists(nmax + 1)), draw(numerator_lists(nmax + 1))
+    a_den, b_den = (draw(st.sampled_from([1, 2, 6, 9, 360, 10**12, 2**40 * 3])) for _ in "ab")
     # the weight has only the nmax + 1 entries c_0..c_nmax read, often fewer than a
     weight = draw(st.one_of(st.none(), st.lists(
         st.integers(-40, 40), min_size=nmax + 1, max_size=nmax + 1)))
-    return a, b, nmax, draw(st.booleans()), weight, draw(st.integers(1, 60))
+    return (a, a_den), (b, b_den), nmax, draw(st.booleans()), weight, draw(st.integers(1, 60))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(convolution_cases())
+@given(column_cases())
 def test_kernel_matches_naive_sums(case):
-    a, b, nmax, egf, weight, divisor = case
-    got = convolve(a, b, nmax, egf=egf, weight=weight, divisor=divisor)
-    assert got == naive_convolution(a, b, nmax, egf, weight, divisor)
-    assert all(type(v) is F for v in got)
+    # the product in lowest terms: a positive denominator sharing no factor
+    # with every numerator
+    (a, a_den), (b, b_den), nmax, egf, weight, divisor = case
+    nums, den = convolve((a, a_den), (b, b_den), nmax, egf=egf, weight=weight, divisor=divisor)
+    # each sum term by term on the numerators, over a_den b_den divisor
+    sums = [
+        sum(
+            (math.comb(n, i) if egf else 1) * (weight[i] if weight else 1) * a[i] * b[n - i]
+            for i in range(n + 1)
+        )
+        for n in range(nmax + 1)
+    ]
+    assert [F(x, den) for x in nums] == [F(x, a_den * b_den * divisor) for x in sums]
+    assert den > 0 and math.gcd(den, *nums) == 1
 
 
 def test_kernel_on_integer_entries_and_tuples():
     a = (1, 0, -2, 0, 5)
-    assert convolve(a, a, 4, egf=True) == naive_convolution(a, a, 4, egf=True)
-    assert convolve(a, [F(1, 3)] * 5, 4) == naive_convolution(a, [F(1, 3)] * 5, 4)
+    got = convolve(numerators(a), numerators(a), 4, egf=True)
+    assert got == ([1, 0, -4, 0, 34], 1) and to_fractions(got) == naive_convolution(a, a, 4, True)
+    got = convolve(numerators(a), ([1] * 5, 3), 4)
+    assert to_fractions(got) == naive_convolution(a, [F(1, 3)] * 5, 4)
 
 
 def test_kernel_guards():
     with pytest.raises(InvalidParameter):
-        convolve([F(1)], [F(1)], -1)
+        convolve(([1], 1), ([1], 1), -1)
     with pytest.raises(InvalidParameter):
-        convolve([F(1)] * 3, [F(1)] * 2, 2)
+        convolve(([1] * 3, 1), ([1] * 2, 1), 2)
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 5])
 def test_kernel_needs_nmax_plus_one_entries_per_column(nmax):
     full = [F(k + 1, 3) for k in range(nmax + 1)]
-    assert convolve(full, full, nmax) == naive_convolution(full, full, nmax)
+    got = convolve(numerators(full), numerators(full), nmax)
+    assert to_fractions(got) == naive_convolution(full, full, nmax)
     message = f"convolution to index {nmax} needs {nmax + 1} entries per column$"
     for a, b in ((full[:-1], full), (full, full[:-1])):
         with pytest.raises(InvalidParameter, match=message):
-            convolve(a, b, nmax)
+            convolve(numerators(a), numerators(b), nmax)
+
+
+def test_column_product_of_zeros_is_zero_over_one():
+    assert convolve(([0] * 40, 7), ([3] * 40, 5), 39, egf=True) == ([0] * 40, 1)
+    assert convolve(([2, 0, 4], 6), ([0, 0, 0], 1), 2) == ([0, 0, 0], 1)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -338,16 +376,17 @@ def test_tangent_complex_sum_matches_reference():
 
 @pytest.mark.parametrize("N", range(0, 7))
 def test_y2_column_matches_reference(N):
-    column = identities.y2_column(N, 10)
+    column = to_fractions(identities.y2_column(N, 10))
     assert column == [reference_y2(N, n) for n in range(11)]
 
 
 def test_trinomial_convolution_matches_reference():
     # the EGF cube the trinomial checkers take their left side from
-    for values in (numbers(EULER, 2, 20).values, numbers(COMP, 3, 20).values):
-        cube = convolve(convolve(values, values, 20, egf=True), values, 20, egf=True)
+    for tab in (numbers(EULER, 2, 20), numbers(COMP, 3, 20)):
+        x = tab.column
+        cube = to_fractions(convolve(convolve(x, x, 20, egf=True), x, 20, egf=True))
         for n in (0, 1, 2, 9, 20):
-            assert cube[n] == reference_trinomial_convolution(values, n)
+            assert cube[n] == reference_trinomial_convolution(tab.values, n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +429,56 @@ def test_sumprod_witness_on_perturbed_table(
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "check, trinomial",
+    [(identities.check_sumprod_pair, False), (identities.check_sumprod_trinomial, True)],
+    ids=["pair", "trinomial"],
+)
+@pytest.mark.parametrize("family, shift, index", [("hg-euler", 0, 34), ("comp-hg-euler", -1, 21)])
+def test_a_doctored_table_gives_the_oracle_witness(
+    monkeypatch, check, trinomial, family, shift, index
+):
+    # past int_convolve's switch at 32 coefficients, where the columns'
+    # denominators are large, one value bent by 5/10007
+    N, nmax = 3, 36
+    perturb(monkeypatch, family, N + shift, index, F(5, 10007))
+    report = check(N, nmax)
+    assert not report.passed
+    assert report.first_failure.indices == (index,)
+    assert report.first_failure == sumprod_oracle(N, nmax, trinomial)
+
+
 @pytest.mark.parametrize("check, reference", TANGENT)
-@pytest.mark.parametrize("index, delta", [(4, F(1, 3)), (0, F(-2, 9))])
+@pytest.mark.parametrize("index, delta", [(4, F(1, 3)), (0, F(-2, 9)), (12, F(1, 5))])
 def test_tangent_witness_on_perturbed_table(monkeypatch, check, reference, index, delta):
+    # E_12 enters y2(0, n) at n = 6 alone, the last index checked
     perturb(monkeypatch, "hg-euler", 0, index, delta)
     got = check(6)
     assert not got.passed
     assert got == reference(6)
 
 
+@pytest.mark.parametrize("m", [0, 6, 12])
+def test_tan_maclaurin_reports_an_even_coefficient(monkeypatch, m):
+    # sin bent by 1/7 at t^m: tan gains 1/7 at t^m (sec t starts at 1) and
+    # nothing at the even powers below; t^12 is the last one checked at 6
+    real = identities.gen_sin
+
+    def bent(order):
+        cs = list(real(order).coeffs)
+        cs[m] += F(1, 7)
+        return TruncatedSeries(tuple(cs))
+
+    monkeypatch.setattr(identities, "gen_sin", bent)
+    report = identities.check_tan_maclaurin(6)
+    assert report.first_failure == FailureWitness((m,), F(1, 7), ZERO)
+
+
 @pytest.mark.parametrize("check, reference, family, N, blind", TABLE_SUMS)
 @pytest.mark.parametrize(
     "index, delta",
-    [(0, F(-2, 9)), (1, F(-1, 5)), (2, F(2, 7)), (3, F(1, 13)), (4, F(1, 7)), (12, F(5, 3))],
+    [(0, F(-2, 9)), (1, F(-1, 5)), (2, F(2, 7)), (3, F(1, 13)), (4, F(1, 7)), (12, F(5, 3)),
+     (14, F(3, 11))],
 )
 def test_table_sum_witness_on_perturbed_table(
     monkeypatch, check, reference, family, N, blind, index, delta
@@ -424,3 +500,13 @@ def test_tangent_complex_reports_imaginary_part(monkeypatch):
     report = identities.check_tangent_complex_sum(4)
     assert not report.passed
     assert report.first_failure == FailureWitness(("imag", 2), F(1, 5), ZERO)
+
+
+def test_tangent_complex_reports_a_wrong_real_part(monkeypatch):
+    # 5/3 against y2(0, 2) = 16, where 16 // 3 = 5
+    real = identities.tangent_complex_sum
+    monkeypatch.setattr(
+        identities, "tangent_complex_sum", lambda n: (F(5, 3), ZERO) if n == 2 else real(n)
+    )
+    report = identities.check_tangent_complex_sum(4)
+    assert report.first_failure == FailureWitness((2,), F(5, 3), F(16))

@@ -1,18 +1,20 @@
-"""``check_series_identities``: the derivative identities, which it checks on
-integer numerators, the cosh-expansion checks, which take f^{(i)}/i! from the
-divided-power derivative, and 1/F and 1/F*, which it reads off the
-hg-euler(N) and comp-hg-euler(N-1) tables."""
+"""``check_series_identities``: the derivative identities and the
+cosh-expansion checks, which take f^{(i)}/i! from the divided-power
+derivative, and the reciprocal identities in 1/F and 1/F*, which it reads off
+the hg-euler(N) and comp-hg-euler(N-1) tables; all of them on integer columns,
+against an oracle in ``Fraction`` series arithmetic."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from hgnum import identities
+from hgnum.exact import to_fractions
 from hgnum.families import FamilyKind, NumberTable
 from hgnum.identities import check_series_identities
 from hgnum.series import TruncatedSeries, gen_ratio
 
-from helpers import series_identities_oracle
+from helpers import from_egf, series_identities_oracle
 
 
 @pytest.mark.parametrize("N", range(1, 7))
@@ -79,11 +81,32 @@ def test_cosh_expansion_still_compares(monkeypatch):
     assert expansions[0].rhs == gen_ratio(0, 2, 12)[4] + F(1, 7)
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_each_rung_and_expansion_reads_its_series(monkeypatch, k):
+    # N = 2: the rungs and the expansions run k = 1..4; F_k bent at t^4
+    # fails the k-th of each, whichever check reports first
+    bend(monkeypatch, k, 4, F(1, 7))
+    indices = {w.indices for w in identities._series_failures(2, 12) if w is not None}
+    assert {(f"ladder(k={k})", 4), (f"cosh-expansion(k={k})", 4)} <= indices
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("past", [0, 2])
+def test_each_expansion_stops_at_the_order_of_its_derivatives(monkeypatch, k, past):
+    # N = 2, M = 12: the k-th expansion reads F_k to t^(M-k), the order of its
+    # k-th divided-power derivative; F_k bent at the last even power there
+    # fails it, and bent at the next even power does not
+    m = (12 - k) // 2 * 2 + past
+    bend(monkeypatch, k, m, F(1, 7))
+    indices = {w.indices for w in identities._series_failures(2, 12) if w is not None}
+    assert ((f"cosh-expansion(k={k})", m) in indices) == (past == 0)
+
+
 @pytest.mark.parametrize("N", range(1, 7))
 def test_table_reciprocals_equal_series_reciprocals(N):
     for M in range(41):
-        inv_f = TruncatedSeries.from_egf(identities._ladder(2 * N, M))
-        inv_fstar = TruncatedSeries.from_egf(identities._ladder(2 * N - 1, M))
+        inv_f = from_egf(to_fractions(identities._ladder(2 * N, M)))
+        inv_fstar = from_egf(to_fractions(identities._ladder(2 * N - 1, M)))
         assert inv_f == gen_ratio(2 * N, 2, M).reciprocal()
         assert inv_fstar == gen_ratio(2 * N - 1, 2, M).reciprocal()
 

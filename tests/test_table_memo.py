@@ -11,7 +11,7 @@ import pytest
 
 from hgnum import families
 from hgnum.cli import main
-from hgnum.exact import InvalidParameter
+from hgnum.exact import InvalidParameter, numerators, to_fractions
 from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, table
 
 
@@ -46,14 +46,27 @@ def test_prefix_equals_fresh_build(family):
 def test_longer_request_replaces_the_entry():
     family = FamilyId(FamilyKind.HG_EULER, 2)
     table(family, 5)
-    assert len(families._memo[family]) == 6
+    assert families._memo[family].nmax == 5
     # one index past the entry is a new build, not a prefix
     assert table(family, 6).values == fresh(family, 6)
-    assert len(families._memo[family]) == 7
+    assert families._memo[family].nmax == 6
     assert table(family, 12).values == fresh(family, 12)
-    assert len(families._memo[family]) == 13
+    assert families._memo[family].nmax == 12
     table(family, 3)
-    assert len(families._memo[family]) == 13
+    assert families._memo[family].nmax == 12
+
+
+def test_every_request_the_entry_covers_reads_its_column():
+    # the column is made once per entry, on the first request for it: a
+    # table that no one asks for a column never makes one
+    family = FamilyId(FamilyKind.HG_EULER, 2)
+    entry = table(family, 8)
+    assert families._memo[family] is entry and "_column" not in vars(entry)
+    for nmax in (0, 3, 8):
+        got = table(family, nmax)
+        assert got.whole is entry
+        assert to_fractions(got.column) == list(got.values)
+    assert vars(entry)["_column"] == numerators(entry.values)
 
 
 def test_entry_count_stays_at_the_bound():
@@ -72,7 +85,7 @@ def test_a_hit_keeps_the_entry_alive():
     for N in range(2, MEMO_FAMILIES + 8):
         table(first, 2)
         table(FamilyId(FamilyKind.HG_BERNOULLI, N), 2)
-    assert first in families._memo and len(families._memo[first]) == 5
+    assert first in families._memo and families._memo[first].nmax == 4
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
@@ -81,7 +94,7 @@ def test_negative_nmax_raises_with_the_memo_warm(kind):
     table(family, 10)
     with pytest.raises(InvalidParameter, match="nmax must be nonnegative"):
         table(family, -1)
-    assert len(families._memo[family]) == 11
+    assert families._memo[family].nmax == 10
 
 
 def test_concurrent_requests_keep_the_longest_tables():
@@ -113,7 +126,7 @@ def test_concurrent_requests_keep_the_longest_tables():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     # a lost update would leave a shorter table than the longest one built
-    assert {f: len(v) - 1 for f, v in families._memo.items()} == longest
+    assert {f: v.nmax for f, v in families._memo.items()} == longest
 
 
 def _verify_all_bytes():
