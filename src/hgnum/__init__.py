@@ -4,14 +4,13 @@ numbers."""
 
 from .exact import InvalidParameter
 from .families import FamilyId, FamilyKind, NumberTable, table, via_series
-from .series import TruncatedSeries, ZeroConstantTerm
+from .series import ZeroConstantTerm
 
 __all__ = [
     "FamilyId",
     "FamilyKind",
     "InvalidParameter",
     "NumberTable",
-    "TruncatedSeries",
     "ZeroConstantTerm",
     "table",
     "via_series",

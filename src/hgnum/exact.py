@@ -85,20 +85,11 @@ def to_fractions(column: tuple[list[int], int]) -> list[Fraction]:
 
 
 def convolve(
-    a: tuple[list[int], int],
-    b: tuple[list[int], int],
-    nmax: int,
-    *,
-    egf: bool = False,
-    weight: Sequence[int] | None = None,
-    divisor: int = 1,
+    a: tuple[list[int], int], b: tuple[list[int], int], nmax: int, *, egf: bool = False
 ) -> tuple[list[int], int]:
-    """c_0..c_nmax with c_n = sum_{i=0}^n C(n, i) weight[i] a_i b_{n-i} / divisor,
-    a, b and c columns and ``divisor`` positive.
-
-    C(n, i) is there only with ``egf`` (the product of two exponential
-    generating functions), and weight[i] only with ``weight``, which must have
-    the nmax + 1 entries read.  The product runs on plain ints
+    """c_0..c_nmax with c_n = sum_{i=0}^n C(n, i) a_i b_{n-i}, a, b and c
+    columns; C(n, i) is there only with ``egf`` (the product of two
+    exponential generating functions).  The product runs on plain ints
     (:func:`int_convolve`), and one gcd takes the common factor out of c's
     numerators and denominator: c is over the lcm of its values' denominators.
     """
@@ -107,9 +98,7 @@ def convolve(
     (a_num, a_den), (b_num, b_den) = a, b
     if len(a_num) <= nmax or len(b_num) <= nmax:
         raise InvalidParameter(f"convolution to index {nmax} needs {nmax + 1} entries per column")
-    if weight is not None:
-        a_num = list(map(mul, a_num, weight))
-    c, den = int_convolve(a_num, b_num, 0, nmax, egf=egf), a_den * b_den * divisor
+    c, den = int_convolve(a_num, b_num, 0, nmax, egf=egf), a_den * b_den
     g = math.gcd(den, *c)
     return [x // g for x in c], den // g
 

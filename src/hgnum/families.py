@@ -1,10 +1,12 @@
 """Number tables for the four families, by integer recurrence and by series reciprocal.
 
 Each family is one :class:`FamilySpec` in :data:`SPECS`: v_n = n! [t^n] 1/F(t)
-for one hypergeometric denominator F, whose coefficients a_0 = 1, a_1, ... sit
-at the multiples of a stride (2 for the Euler types, 1 otherwise), and whose
-``recurrence`` reads F(t) V(t) = 1 in the numbers, on ints over a running lcm
-(:func:`~hgnum.exact.over_running_lcm`, which the determinant route shares).
+for one hypergeometric denominator F, the tuple of its coefficients
+a_0 = 1, a_1, ..., which sit at the multiples of a stride (2 for the Euler
+types, 1 otherwise).  Its ``recurrence`` reads F(t) V(t) = 1 in the numbers,
+on ints over a running lcm (:func:`~hgnum.exact.over_running_lcm`, which the
+determinant route shares); :func:`via_series` takes the Newton reciprocal of F
+(:func:`~hgnum.series.reciprocal`) and multiplies its t^n coefficient by n!.
 For hg-euler, comp-hg-euler and hg-bernoulli, F is sum w!/(w+sj)! t^{sj}
 (:func:`~hgnum.series.gen_ratio`), and each family names its w(N) once:
 ``_ratio_spec`` builds both its denominator and its recurrence from it.
@@ -30,8 +32,8 @@ from functools import cached_property
 from operator import add, mul
 from typing import Callable
 
-from .exact import InvalidParameter, numerators, over_running_lcm
-from .series import TruncatedSeries, gen_hgcauchy_denom, gen_ratio
+from .exact import InvalidParameter, factorial, numerators, over_running_lcm
+from .series import gen_hgcauchy_denom, gen_ratio, reciprocal
 
 
 class FamilyKind(enum.Enum):
@@ -43,12 +45,13 @@ class FamilyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """``denominator(N, order)`` is F up to t^order.  ``recurrence(N, nmax)``
-    is the family's table route, a recurrence on the numbers themselves."""
+    """``denominator(N, order)`` is F up to t^order, the tuple of its
+    coefficients.  ``recurrence(N, nmax)`` is the family's table route, a
+    recurrence on the numbers themselves."""
 
     least_N: int
     stride: int
-    denominator: Callable[[int, int], TruncatedSeries]
+    denominator: Callable[[int, int], tuple[Fraction, ...]]
     recurrence: Callable[[int, int], tuple[Fraction, ...]]
 
 
@@ -83,7 +86,7 @@ class FamilyId:
         that v_0..v_nmax depend on."""
         _check_nmax(nmax)
         stride = self.spec.stride
-        return list(self.spec.denominator(self.N, nmax - nmax % stride).coeffs[::stride])
+        return list(self.spec.denominator(self.N, nmax - nmax % stride)[::stride])
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,10 @@ SPECS: dict[FamilyKind, FamilySpec] = {
 
 
 def via_series(family: FamilyId, nmax: int) -> NumberTable:
-    """Definition route: EGF extraction of the reciprocal denominator series."""
+    """Definition route: v_n = n! r_n for the reciprocal r of the denominator."""
     _check_nmax(nmax)
-    denominator = family.spec.denominator(family.N, nmax)
-    return NumberTable(family, denominator.reciprocal().egf_values())
+    r = reciprocal(family.spec.denominator(family.N, nmax))
+    return NumberTable(family, tuple(factorial(n) * c for n, c in enumerate(r)))
 
 
 # The longest table built so far for each of the last MEMO_FAMILIES families

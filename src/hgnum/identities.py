@@ -6,7 +6,10 @@ Checkers recompute both sides from number tables or from the series engine,
 never from each other's intermediates.  They run on columns, integer
 numerators over one positive denominator (a table's ``column``): products are
 :func:`~hgnum.exact.convolve`, the sides are compared by cross-multiplication,
-and a value becomes a Fraction only in a witness.
+and a value becomes a Fraction only in a witness.  A weighted sum scales its
+operand's numerators first (:func:`_scaled`); a constant divisor goes into the
+compared column's denominator: cross-multiplication needs no column in
+lowest terms.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .exact import InvalidParameter, ZERO, convolve, numerators
 from .families import FamilyId, FamilyKind, table
-from .series import gen_cos, gen_ratio, gen_sin
+from .series import gen_cos, gen_ratio, gen_sin, reciprocal
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ def check_bernoulli_lemma(nmax: int) -> IdentityReport:
     """sum_i (i-1) B_i / ((n-i+2)! i!) is 0 for even n and -B_{n+1}/n! for odd n."""
     b, den = table(_BERNOULLI, nmax + 1).column
     inv_fact, f_den = _over_factorials(([1] * (nmax + 3), 1), nmax + 2)
-    weight = [i - 1 for i in range(nmax + 1)]
-    lhs = convolve(_over_factorials((b, den), nmax), (inv_fact[2:], f_den), nmax, weight=weight)
+    weighted = _scaled(_over_factorials((b, den), nmax), [i - 1 for i in range(nmax + 1)])
+    lhs = convolve(weighted, (inv_fact[2:], f_den), nmax)
     rhs = _over_factorials(([-b[n + 1] if n % 2 else 0 for n in range(nmax + 1)], den), nmax)
     return _report("bernoulli-lemma", f"1 <= n <= {nmax}", _first_diff(lhs, rhs, first=1))
 
@@ -171,8 +174,7 @@ def check_tangent_complex_sum(nmax: int) -> IdentityReport:
 def check_tan_maclaurin(nmax: int) -> IdentityReport:
     """Odd tan coefficients are (-1)^n y2(0, n) / (2n+1)!; even ones vanish."""
     order, rng = 2 * nmax + 1, f"0 <= n <= {nmax}"
-    sin, sec = gen_sin(order), gen_cos(order).reciprocal()
-    tan, den = convolve(numerators(sin.coeffs), numerators(sec.coeffs), order)
+    tan, den = convolve(numerators(gen_sin(order)), numerators(reciprocal(gen_cos(order))), order)
     for m in range(0, order + 1, 2):
         if tan[m]:
             return _report("tan-maclaurin", rng, FailureWitness((m,), Fraction(tan[m], den), ZERO))
@@ -189,8 +191,8 @@ def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
     the numbers of 1/F_w and 1/F_{w-1}."""
     x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
     lhs = convolve(x, x, nmax, egf=True)
-    rhs = convolve(x, y, nmax, egf=True, weight=_index_weight(w, nmax), divisor=w)
-    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(lhs, rhs))
+    nums, den = convolve(_scaled(x, _index_weight(w, nmax)), y, nmax, egf=True)
+    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(lhs, (nums, den * w)))
 
 
 def check_sumprod_pair(N: int, nmax: int) -> IdentityReport:
@@ -218,10 +220,10 @@ def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
     the outer one over m, weighted by 2w-m.
     """
     x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
-    inner = convolve(x, y, nmax, egf=True, weight=_index_weight(w, nmax))
-    rhs = convolve(inner, y, nmax, egf=True, weight=_index_weight(2 * w, nmax), divisor=2 * w * w)
+    inner = convolve(_scaled(x, _index_weight(w, nmax)), y, nmax, egf=True)
+    nums, den = convolve(_scaled(inner, _index_weight(2 * w, nmax)), y, nmax, egf=True)
     cube = convolve(convolve(x, x, nmax, egf=True), x, nmax, egf=True)
-    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(cube, rhs))
+    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(cube, (nums, den * 2 * w * w)))
 
 
 def check_sumprod_trinomial(N: int, nmax: int) -> IdentityReport:
@@ -256,7 +258,7 @@ def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
     """
     # the ladder F_k = sum k!/(k+2j)! t^{2j} for k = 0..2N: F = F_{2N},
     # F* = F_{2N-1} and cosh t = F_0
-    fk = [numerators(gen_ratio(k, 2, M).coeffs) for k in range(2 * N + 1)]
+    fk = [numerators(gen_ratio(k, 2, M)) for k in range(2 * N + 1)]
     # k F_k + t F_k' = k F_{k-1}: at k = 2N, 2N F + t F' = 2N F*, and then
     # each rung of the ladder
     rungs = [(2 * N, "scaled-derivative")] + [(k, f"ladder(k={k})") for k in range(1, 2 * N + 1)]
@@ -283,11 +285,11 @@ def _series_failures(N: int, M: int) -> Iterator[FailureWitness | None]:
     yield _first_diff(_derivative(f), ([-c for c in nums], den), label="reciprocal-derivative")
     # 1/F^2 = (1/F*) (1/F - t/(2N) (1/F)'), where t (1/F)' has n x_n at t^n
     x2 = convolve(x, x, top)
-    rhs = convolve(x, y, top, weight=_index_weight(2 * N, top), divisor=2 * N)
-    yield _first_diff(x2, rhs, label="inv-square")
+    nums, den = convolve(_scaled(x, _index_weight(2 * N, top)), y, top)
+    yield _first_diff(x2, (nums, den * 2 * N), label="inv-square")
     # 1/F^3 = (1/F*) (1/F^2 - t/(4N) (1/F^2)')
-    rhs3 = convolve(x2, y, top, weight=_index_weight(4 * N, top), divisor=4 * N)
-    yield _first_diff(convolve(x, x2, top), rhs3, label="inv-cube")
+    nums, den = convolve(_scaled(x2, _index_weight(4 * N, top)), y, top)
+    yield _first_diff(convolve(x, x2, top), (nums, den * 4 * N), label="inv-cube")
 
 
 def check_series_identities(N: int, M: int) -> IdentityReport:

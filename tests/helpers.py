@@ -1,24 +1,87 @@
 """Helpers and oracles that only the tests use: the package has no caller for
 any of them.  Among them are the ``Fraction`` loops that the integer number
-recurrence and the Newton reciprocal replaced, kept as their references, the
-``Fraction`` series arithmetic (``derivative``, ``times_t``, ``scale``,
-``from_egf``) that the oracles of the integer-column identity checkers use, and
-two checks of the paper's results that no CLI command runs: its printed
-closed forms of E_{N,k} and Ehat_{N,k} for k = 2, 4, 6, 8 (``closed_small``,
-criterion 2) and the matrix-inverse pairing of each family's numbers with its
-weights (``inverse_pair_check``, criterion 9)."""
+recurrence and the Newton reciprocal replaced, kept as their references; the
+``Fraction`` series arithmetic (``TruncatedSeries``, with its products and the
+paper's Hasse-Teichmuller derivative, and ``derivative``, ``times_t``,
+``scale``, ``from_egf``) that the acceptance criteria and the oracles of the
+integer-column identity checkers use; and two checks of the paper's results
+that no CLI command runs: its printed closed forms of E_{N,k} and Ehat_{N,k}
+for k = 2, 4, 6, 8 (``closed_small``, criterion 2) and the matrix-inverse
+pairing of each family's numbers with its weights (``inverse_pair_check``,
+criterion 9)."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
+from operator import mul
 
 from hgnum import identities
 from hgnum.exact import InvalidParameter, compositions, factorial
 from hgnum.families import SPECS, FamilyId, FamilyKind, table
 from hgnum.identities import FailureWitness, IdentityReport
 from hgnum.linalg import hessenberg_det_prefixes
-from hgnum.series import TruncatedSeries, gen_ratio
+from hgnum.series import gen_ratio, reciprocal
 
 EULER_KINDS = tuple(kind for kind in FamilyKind if SPECS[kind].stride == 2)
+
+
+def _over_lcm(coeffs):
+    """The numerators of ``coeffs`` over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+@dataclass(frozen=True)
+class TruncatedSeries:
+    """A series known exactly to t^order, as the tuple of its coefficients.
+    Arithmetic truncates to the smaller order; products are the Cauchy sums
+    term by term, and the reciprocal is the package's Newton reciprocal."""
+
+    coeffs: tuple
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    @staticmethod
+    def zero(order):
+        return TruncatedSeries((F(0),) * (order + 1))
+
+    def __getitem__(self, k):
+        return self.coeffs[k]
+
+    def __add__(self, other):
+        return TruncatedSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return TruncatedSeries(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return TruncatedSeries(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        # the Cauchy sums on int numerators, each factor over its lcm, with
+        # no product of the package's, which the checkers' oracles test
+        (a, a_den), (b, b_den) = _over_lcm(self.coeffs), _over_lcm(other.coeffs)
+        sums = (sum(map(mul, a[: n + 1], b[n::-1])) for n in range(min(len(a), len(b))))
+        return TruncatedSeries(tuple(F(c, a_den * b_den) if c else F(0) for c in sums))
+
+    def reciprocal(self):
+        return TruncatedSeries(reciprocal(self.coeffs))
+
+    def hasse_teichmuller(self, n):
+        """Divided-power derivative: c_m t^m maps to c_m C(m,n) t^{m-n}."""
+        if n < 0:
+            raise InvalidParameter(f"derivative order must be nonnegative, got {n}")
+        if n > self.order:
+            return TruncatedSeries.zero(0)
+        return TruncatedSeries(
+            tuple(self.coeffs[m] * math.comb(m, n) for m in range(n, self.order + 1))
+        )
+
+    def egf_values(self):
+        """The numbers n! * c_n: the sequence this series is an EGF of."""
+        return tuple(factorial(n) * c for n, c in enumerate(self.coeffs))
 
 
 def rising_factorial(x, n):
@@ -87,15 +150,15 @@ def even_convolution_recurrence(w, nmax):
     return tuple(values)
 
 
-def forward_reciprocal(series):
-    """The reciprocal by the forward recurrence r_0 = 1/c_0,
-    r_n = -(1/c_0) sum_{k=1}^n c_k r_{n-k}, in ``Fraction`` arithmetic: the
-    reference for the Newton reciprocal."""
-    inv0 = 1 / series[0]
+def forward_reciprocal(coeffs):
+    """The reciprocal of the series with coefficients ``coeffs``, as a tuple,
+    by the forward recurrence r_0 = 1/c_0, r_n = -(1/c_0) sum_{k=1}^n c_k r_{n-k},
+    in ``Fraction`` arithmetic: the reference for the Newton reciprocal."""
+    inv0 = 1 / coeffs[0]
     r = [inv0]
-    for n in range(1, series.order + 1):
-        r.append(-inv0 * sum((series[k] * r[n - k] for k in range(1, n + 1)), F(0)))
-    return TruncatedSeries(tuple(r))
+    for n in range(1, len(coeffs)):
+        r.append(-inv0 * sum((coeffs[k] * r[n - k] for k in range(1, n + 1)), F(0)))
+    return tuple(r)
 
 
 def scale(series, r):
@@ -134,20 +197,22 @@ def series_identities_oracle(N, M):
     """``check_series_identities`` on ``TruncatedSeries`` arithmetic: every
     identity as two whole series, compared coefficient by coefficient in the
     same order, with the divided-power derivative summed term by term."""
-    f = gen_ratio(2 * N, 2, M)
-    fstar = gen_ratio(2 * N - 1, 2, M)
+    def ladder(k):
+        return TruncatedSeries(gen_ratio(k, 2, M))
+
+    f, fstar = ladder(2 * N), ladder(2 * N - 1)
     inv_f = from_egf(table(FamilyId(FamilyKind.HG_EULER, N), M).values)
     inv_fstar = from_egf(table(FamilyId(FamilyKind.COMP_HG_EULER, N - 1), M).values)
     checks = [
         ("scaled-derivative", scale(f, 2 * N) + times_t(derivative(f)), scale(fstar, 2 * N), M - 1)
     ]
     for k in range(1, 2 * N + 1):
-        fk = gen_ratio(k, 2, M)
+        fk = ladder(k)
         lhs = scale(fk, k) + times_t(derivative(fk))
-        checks.append((f"ladder(k={k})", lhs, scale(gen_ratio(k - 1, 2, M), k), M - 1))
-    cosh = gen_ratio(0, 2, M)
+        checks.append((f"ladder(k={k})", lhs, scale(ladder(k - 1), k), M - 1))
+    cosh = ladder(0)
     for k in range(1, 2 * N + 1):
-        fk = gen_ratio(k, 2, M)
+        fk = ladder(k)
         acc = TruncatedSeries.zero(M - k if M >= k else 0)
         for i in range(k + 1):
             term = scale(fk.hasse_teichmuller(i), math.comb(k, i))

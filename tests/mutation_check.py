@@ -37,6 +37,8 @@ TESTS = {
                  "test_integer_kernels.py", "test_modular_oracle.py"],
     "linalg": ["test_linalg.py", "test_integer_kernels.py"],
     "identities": ["test_identities.py", "test_series_identities.py", "test_convolution.py"],
+    "closed_forms": ["test_closed_forms.py", "test_table_routes.py", "test_integer_kernels.py",
+                     "test_modular_oracle.py"],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -76,6 +78,17 @@ EQUIVALENT = {
     "families: acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1) :: n - k -> n + k":
         "n - k and n + k have the same parity",
     "linalg: by_parts = [0] * (m + 1) :: 1 -> 2": "by_parts gains a slot that is never read",
+    "closed_forms: poly, power = numerators(weights[: half + 1]),"
+    " ([1] + [0] * half, 1) :: 1 -> 2":
+        "a longer slice: convolve reads poly to x^half, and the extra denominator in the lcm"
+        " scales the product's numerators and denominator alike, which its gcd takes out",
+    "closed_forms: nums, den = numerators(weights[1 : half + 1]) :: 1 -> 2":
+        "a longer slice: no part exceeds half, and the extra denominator in A scales every"
+        " length's sum and A^half alike",
+    "closed_forms: nums.insert(0, 0)  # nums[p] belongs to w_p :: 0 -> 1":
+        "nums[0] is never read: every part of a composition is at least 1",
+    "closed_forms: prods = [1] * (r + 1)  # prods[i]: product of the first i parts :: 1 -> 2":
+        "prods gains a slot that is never read",
     "identities: out, f = [], 1 :: 1 -> 2":
         "every numerator and the denominator gain a factor 2, which the gcd takes out",
     "identities: zeros = ([0] * len(sums), 1) :: 1 -> 2": "0 is 0 over any denominator",
@@ -91,8 +104,9 @@ EQUIVALENT = {
         "a longer table: the right side reads it to index 2 nmax + 2",
     "identities: return [offset - k for k in range(nmax + 1)] :: 1 -> 2":
         "a longer weight list: the products read its first nmax + 1 entries",
-    "identities: weight = [i - 1 for i in range(nmax + 1)] :: 1 -> 2":
-        "a longer weight list: the product reads its first nmax + 1 entries",
+    "identities: weighted = _scaled(_over_factorials((b, den), nmax),"
+    " [i - 1 for i in range(nmax + 1)]) :: 1 -> 2":
+        "a longer weight list: the scaled column is as long as the shorter of the two",
     "identities: inv_fact, f_den = _over_factorials(([1] * (nmax + 3), 1), nmax + 2) :: 3 -> 4":
         "a longer column of ones: its first nmax + 3 entries are read",
     "identities: lcm, ps = math.lcm(*range(2, 2 * nmax + 3, 2)),"
@@ -119,9 +133,9 @@ EQUIVALENT = {
         "tan to one more power: a zero even coefficient and the same odd ones",
     "identities: signed = [0] * (order + 1) :: 0 -> 1": "only the odd entries are compared",
     "identities: signed = [0] * (order + 1) :: 1 -> 2": "an entry past t^order is never read",
-    "identities: fk = [numerators(gen_ratio(k, 2, M).coeffs) for k in range(2 * N + 1)] :: 1 -> 2":
+    "identities: fk = [numerators(gen_ratio(k, 2, M)) for k in range(2 * N + 1)] :: 1 -> 2":
         "a ladder series past F_2N is built and never read",
-    "identities: fk = [numerators(gen_ratio(k, 2, M).coeffs) for k in range(2 * N + 1)] :: 2 -> 3":
+    "identities: fk = [numerators(gen_ratio(k, 2, M)) for k in range(2 * N + 1)] :: 2 -> 3":
         "ladder series past F_2N are built and never read",
 }
 

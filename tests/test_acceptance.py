@@ -26,9 +26,8 @@ from hgnum.identities import (
     y2_column,
 )
 from hgnum.linalg import hessenberg_det_prefixes
-from hgnum.series import TruncatedSeries
 
-from helpers import closed_small, inverse_pair_check, scale
+from helpers import TruncatedSeries, closed_small, inverse_pair_check, scale
 
 EULER = FamilyKind.HG_EULER
 COMP = FamilyKind.COMP_HG_EULER

@@ -21,9 +21,8 @@ from hgnum.exact import (
 )
 from hgnum.families import FamilyId, FamilyKind, NumberTable
 from hgnum.identities import FailureWitness, IdentityReport
-from hgnum.series import TruncatedSeries
 
-from helpers import sumprod_oracle
+from helpers import TruncatedSeries, forward_reciprocal, sumprod_oracle
 
 
 EULER = FamilyKind.HG_EULER
@@ -36,15 +35,9 @@ def numbers(kind, N, nmax):
     return identities.table(FamilyId(kind, N), nmax)
 
 
-def naive_convolution(a, b, nmax, egf=False, weight=None, divisor=1):
+def naive_convolution(a, b, nmax, egf=False):
     return [
-        sum(
-            (
-                (math.comb(n, i) if egf else 1) * (weight[i] if weight else 1) * a[i] * b[n - i]
-                for i in range(n + 1)
-            ),
-            ZERO,
-        ) / divisor
+        sum(((math.comb(n, i) if egf else 1) * a[i] * b[n - i] for i in range(n + 1)), ZERO)
         for n in range(nmax + 1)
     ]
 
@@ -183,7 +176,8 @@ def reference_tangent_complex(nmax):
 def reference_tan_maclaurin(nmax):
     # the even coefficients vanish; the odd ones are compared per n
     order = 2 * nmax + 1
-    tan = identities.gen_sin(order) * identities.gen_cos(order).reciprocal()
+    sec = forward_reciprocal(identities.gen_cos(order))
+    tan = TruncatedSeries(identities.gen_sin(order)) * TruncatedSeries(sec)
     return reference_report(
         "tan-maclaurin", nmax, lambda n: tan[2 * n + 1],
         lambda n: F((-1) ** n) * reference_y2(0, n) / factorial(2 * n + 1),
@@ -275,7 +269,8 @@ def column_cases(draw):
     nmax = draw(st.one_of(st.integers(0, 14), st.integers(26, 40)))
     a, b = draw(numerator_lists(nmax + 1)), draw(numerator_lists(nmax + 1))
     a_den, b_den = (draw(st.sampled_from([1, 2, 6, 9, 360, 10**12, 2**40 * 3])) for _ in "ab")
-    # the weight has only the nmax + 1 entries c_0..c_nmax read, often fewer than a
+    # a weight as the identities give one, with the nmax + 1 entries
+    # c_0..c_nmax read, often fewer than a
     weight = draw(st.one_of(st.none(), st.lists(
         st.integers(-40, 40), min_size=nmax + 1, max_size=nmax + 1)))
     return (a, a_den), (b, b_den), nmax, draw(st.booleans()), weight, draw(st.integers(1, 60))
@@ -287,7 +282,11 @@ def test_kernel_matches_naive_sums(case):
     # the product in lowest terms: a positive denominator sharing no factor
     # with every numerator
     (a, a_den), (b, b_den), nmax, egf, weight, divisor = case
-    nums, den = convolve((a, a_den), (b, b_den), nmax, egf=egf, weight=weight, divisor=divisor)
+    # the identities weight an operand entrywise and put a divisor into the
+    # compared column's denominator
+    operand = (a, a_den) if weight is None else identities._scaled((a, a_den), weight)
+    nums, den = convolve(operand, (b, b_den), nmax, egf=egf)
+    assert den > 0 and math.gcd(den, *nums) == 1
     # each sum term by term on the numerators, over a_den b_den divisor
     sums = [
         sum(
@@ -296,8 +295,7 @@ def test_kernel_matches_naive_sums(case):
         )
         for n in range(nmax + 1)
     ]
-    assert [F(x, den) for x in nums] == [F(x, a_den * b_den * divisor) for x in sums]
-    assert den > 0 and math.gcd(den, *nums) == 1
+    assert [F(x, den * divisor) for x in nums] == [F(x, a_den * b_den * divisor) for x in sums]
 
 
 def test_kernel_on_integer_entries_and_tuples():
@@ -334,11 +332,12 @@ def test_column_product_of_zeros_is_zero_over_one():
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(entries, min_size=1, max_size=12), st.lists(entries, min_size=1, max_size=12))
 def test_series_mul_matches_naive_product(a, b):
-    got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+    # two series as Fraction tuples, multiplied through their columns as the
+    # tan checker does, to the smaller order
     m = min(len(a), len(b)) - 1
-    assert got.coeffs == tuple(
-        sum((a[i] * b[n - i] for i in range(n + 1)), ZERO) for n in range(m + 1)
-    )
+    got = to_fractions(convolve(numerators(a), numerators(b), m))
+    assert got == [sum((a[i] * b[n - i] for i in range(n + 1)), ZERO) for n in range(m + 1)]
+    assert all(type(c) is F for c in got)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +464,9 @@ def test_tan_maclaurin_reports_an_even_coefficient(monkeypatch, m):
     real = identities.gen_sin
 
     def bent(order):
-        cs = list(real(order).coeffs)
+        cs = list(real(order))
         cs[m] += F(1, 7)
-        return TruncatedSeries(tuple(cs))
+        return tuple(cs)
 
     monkeypatch.setattr(identities, "gen_sin", bent)
     report = identities.check_tan_maclaurin(6)

@@ -20,7 +20,9 @@ from hgnum.identities import (
     tangent_complex_sum,
     y2_column,
 )
-from hgnum.series import gen_ratio
+from hgnum.series import gen_ratio, reciprocal
+
+from helpers import TruncatedSeries
 
 EULER = FamilyKind.HG_EULER
 BERNOULLI = FamilyKind.HG_BERNOULLI
@@ -110,7 +112,8 @@ class TestSumsOfProducts:
     @pytest.mark.parametrize("w", range(14))
     def test_ladder_is_the_reciprocal_of_gen_ratio(self, w):
         # w = 2N reads E_N, w = 2N+1 reads Ehat_N; both are 1/F_w
-        assert tuple(to_fractions(_ladder(w, 16))) == gen_ratio(w, 2, 16).reciprocal().egf_values()
+        r = TruncatedSeries(reciprocal(gen_ratio(w, 2, 16)))
+        assert tuple(to_fractions(_ladder(w, 16))) == r.egf_values()
 
     def test_pair_spot_value(self):
         e = table(FamilyId(EULER, 1), 2)
@@ -128,7 +131,7 @@ class TestSumsOfProducts:
 
         N, nmax = 2, 16
         e = table(FamilyId(EULER, N), nmax).column
-        r = gen_ratio(2 * N, 2, nmax).reciprocal()
+        r = TruncatedSeries(reciprocal(gen_ratio(2 * N, 2, nmax)))
         cube = r * r * r
         trinomial = to_fractions(convolve(convolve(e, e, nmax, egf=True), e, nmax, egf=True))
         for n in range(nmax + 1):

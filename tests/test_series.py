@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from hgnum.exact import InvalidParameter, factorial
 from hgnum.series import (
-    TruncatedSeries,
     ZeroConstantTerm,
     gen_cos,
     gen_hgcauchy_denom,
     gen_ratio,
     gen_sin,
+    reciprocal,
 )
 from helpers import (
-    derivative, from_egf, is_zero, monomial, rising_factorial, scale, times_t,
+    TruncatedSeries, derivative, from_egf, is_zero, monomial, rising_factorial, scale, times_t,
 )
 
 
@@ -23,18 +23,22 @@ def series_from_ints(ints):
     return TruncatedSeries(tuple(F(i) for i in ints))
 
 
+def ratio(w, stride, order):
+    return TruncatedSeries(gen_ratio(w, stride, order))
+
+
 class TestArithmetic:
     def test_add_cancels(self):
-        c = gen_ratio(0, 2, 12)
+        c = ratio(0, 2, 12)
         assert is_zero(c + (-c))
 
     def test_scale_identity(self):
-        c = gen_ratio(0, 2, 12)
+        c = ratio(0, 2, 12)
         assert scale(c, 1) == c
 
     def test_sub_f_at_zero_is_cosh(self):
         cosh = from_egf([F(1 - n % 2) for n in range(21)])
-        assert is_zero(gen_ratio(0, 2, 20) - cosh)
+        assert is_zero(ratio(0, 2, 20) - cosh)
 
     def test_mul_by_one(self):
         s = series_from_ints([3, 1, 4, 1, 5])
@@ -46,14 +50,14 @@ class TestArithmetic:
         assert (a * b).order == 1
 
     def test_defining_product_of_reciprocal(self):
-        f = gen_ratio(6, 2, 16)
+        f = ratio(6, 2, 16)
         assert f * f.reciprocal() == monomial(0, 16)
 
     def test_cauchy_product_annihilates_shifted_factor(self):
         # the product defining the main family collapses to a single monomial
         N, M = 2, 18
-        inv = gen_ratio(2 * N, 2, M).reciprocal()
-        prod = gen_ratio(2 * N, 2, M) * inv
+        inv = ratio(2 * N, 2, M).reciprocal()
+        prod = ratio(2 * N, 2, M) * inv
         assert prod[0] == 1
         assert all(prod[n] == 0 for n in range(1, M + 1))
 
@@ -64,12 +68,12 @@ class TestReciprocal:
         assert one_minus_t.reciprocal().coeffs == (F(1),) * 11
 
     def test_euler_numbers_from_reciprocal(self):
-        values = gen_ratio(0, 2, 14).reciprocal().egf_values()
+        values = ratio(0, 2, 14).reciprocal().egf_values()
         assert list(values) == [1, 0, -1, 0, 5, 0, -61, 0, 1385, 0, -50521, 0,
                                 2702765, 0, -199360981]
 
     def test_complementary_euler_start(self):
-        values = gen_ratio(1, 2, 4).reciprocal().egf_values()
+        values = ratio(1, 2, 4).reciprocal().egf_values()
         assert list(values) == [1, 0, F(-1, 3), 0, F(7, 15)]
 
     def test_from_egf_inverts_egf_values(self):
@@ -79,6 +83,21 @@ class TestReciprocal:
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
             series_from_ints([0, 1]).reciprocal()
+
+    def test_refusals_of_the_function(self):
+        with pytest.raises(InvalidParameter):
+            reciprocal(())
+        with pytest.raises(ZeroConstantTerm):
+            reciprocal((F(0), F(1)))
+
+    def test_takes_and_gives_plain_tuples(self):
+        # the constructors' tuples go in as they are, and a tuple of
+        # Fractions of the same length comes out
+        for cs in (gen_ratio(4, 2, 9), gen_ratio(3, 1, 9), gen_hgcauchy_denom(2, 9), gen_cos(9)):
+            assert type(cs) is tuple and all(type(c) is F for c in cs)
+            r = reciprocal(cs)
+            assert type(r) is tuple and len(r) == len(cs) and all(type(c) is F for c in r)
+        assert reciprocal((F(2),)) == (F(1, 2),)
 
 
 class TestDerivative:
@@ -91,15 +110,15 @@ class TestDerivative:
         assert times_t(series_from_ints([3, 5])) == series_from_ints([0, 3])
 
     def test_cosh_to_sinh(self):
-        d = derivative(gen_ratio(0, 2, 13))
-        sinh = times_t(gen_ratio(1, 2, 12))  # sinh t / t, times t
+        d = derivative(ratio(0, 2, 13))
+        sinh = times_t(ratio(1, 2, 12))  # sinh t / t, times t
         assert d == sinh
 
     def test_star_relation(self):
         N, M = 3, 20
-        f = gen_ratio(2 * N, 2, M)
+        f = ratio(2 * N, 2, M)
         lhs = scale(f, 2 * N) + times_t(derivative(f))
-        assert lhs.coeffs[:M] == scale(gen_ratio(2 * N - 1, 2, M), 2 * N).coeffs[:M]
+        assert lhs.coeffs[:M] == scale(ratio(2 * N - 1, 2, M), 2 * N).coeffs[:M]
 
 
 class TestHasseTeichmuller:
@@ -149,7 +168,7 @@ class TestGenerators:
         # floor((w+2)/2) and floor((w+1)/2)+1/2 at argument t^2/4; at
         # stride 1, w!/(w+n)! is the 1F1(1; w+1; t) coefficient 1/(w+1)_n
         for w in range(11):
-            s = gen_ratio(w, stride, 20)
+            s = ratio(w, stride, 20)
             for n in range(21):
                 if stride == 1:
                     assert s[n] == 1 / rising_factorial(F(w + 1), n)
@@ -167,7 +186,7 @@ class TestGenerators:
                     )
 
     def test_bernoulli_denominator_reciprocal(self):
-        values = gen_ratio(1, 1, 4).reciprocal().egf_values()
+        values = ratio(1, 1, 4).reciprocal().egf_values()
         assert list(values) == [1, F(-1, 2), F(1, 6), 0, F(-1, 30)]
 
     def test_cauchy_denominator_signs(self):
@@ -176,8 +195,9 @@ class TestGenerators:
 
     def test_sin_cos_pythagoras(self):
         order = 14
-        assert gen_sin(order).order == gen_cos(order).order == order
-        lhs = gen_sin(order) * gen_sin(order) + gen_cos(order) * gen_cos(order)
+        sin, cos = TruncatedSeries(gen_sin(order)), TruncatedSeries(gen_cos(order))
+        assert sin.order == cos.order == order
+        lhs = sin * sin + cos * cos
         assert lhs == monomial(0, order)
 
     def test_parameter_guards(self):

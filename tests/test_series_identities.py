@@ -12,7 +12,7 @@ from hgnum import identities
 from hgnum.exact import to_fractions
 from hgnum.families import FamilyKind, NumberTable
 from hgnum.identities import check_series_identities
-from hgnum.series import TruncatedSeries, gen_ratio
+from hgnum.series import gen_ratio, reciprocal
 
 from helpers import from_egf, series_identities_oracle
 
@@ -24,9 +24,9 @@ def test_same_reports_as_the_series_oracle(N):
 
 
 def nudged(series, m, delta):
-    cs = list(series.coeffs)
+    cs = list(series)
     cs[m] += delta
-    return TruncatedSeries(tuple(cs))
+    return tuple(cs)
 
 
 def bend(monkeypatch, bent_w, m, delta):
@@ -107,8 +107,8 @@ def test_table_reciprocals_equal_series_reciprocals(N):
     for M in range(41):
         inv_f = from_egf(to_fractions(identities._ladder(2 * N, M)))
         inv_fstar = from_egf(to_fractions(identities._ladder(2 * N - 1, M)))
-        assert inv_f == gen_ratio(2 * N, 2, M).reciprocal()
-        assert inv_fstar == gen_ratio(2 * N - 1, 2, M).reciprocal()
+        assert inv_f.coeffs == reciprocal(gen_ratio(2 * N, 2, M))
+        assert inv_fstar.coeffs == reciprocal(gen_ratio(2 * N - 1, 2, M))
 
 
 def test_a_doctored_table_fails_the_reciprocal_checks(monkeypatch):
