@@ -6,12 +6,13 @@ Each route is a table route, ``table_<route>(kind, N, nmax)``, which returns
 the whole column v_0..v_nmax in one call and shares its work between the
 indices: the determinant route reads every value from one prefix-determinant
 pass, the binomial route from one chain of powers.  Every closed-form route
-is one formula in the family's weights a_0..a_m and stride s, both read off
-its :class:`~hgnum.families.FamilySpec`.  :func:`table_routes` is the
-registry of which route serves which method of which family.  Only the Euler
-types have the composition, binomial and Trudi expansions; for hg-bernoulli
-and hg-cauchy the det route serves both ``det`` and ``trudi``, and
-``--method all`` runs each route once.
+is one formula c_0..c_m in the family's weights a_0..a_m and stride s, both
+read off its :class:`~hgnum.families.FamilySpec`, on one frame that admits
+the request, reads the weights and returns v_{sm} = (sm)! c_m, zero off the
+stride.  :func:`table_routes` is the registry of which route serves which
+method of which family.  Only the Euler types have the composition, binomial
+and Trudi expansions; for hg-bernoulli and hg-cauchy the det route serves
+both ``det`` and ``trudi``, and ``--method all`` runs each route once.
 
 The determinant, composition and Trudi kernels run on plain ints: each takes
 the weights as integer numerators over their common denominator
@@ -59,30 +60,34 @@ _CAPS = {
 TableRoute = Callable[[FamilyKind, int, int], list[Fraction]]
 
 
-def _spread(column: list[Fraction], stride: int, nmax: int) -> list[Fraction]:
-    """v_0..v_nmax from the values at multiples of ``stride``; zero elsewhere."""
-    if stride == 1:
-        return column
+def _route(kind: FamilyKind, method: str, N: int, nmax: int,
+           formula: Callable[[Sequence[Fraction], int], list[Fraction]]) -> list[Fraction]:
+    """v_0..v_nmax once :func:`admit` takes the request: v_{sm} = (sm)! c_m
+    for c_0..c_M = formula(a_0..a_M, s) on the family's weights and stride,
+    and 0 off the stride."""
+    family = admit(kind, method, N, nmax)
+    if method == "trudi" and kind not in _EULER_TYPES:  # admit takes it: det serves their trudi
+        raise InvalidParameter(f"{kind.value} has no trudi expansion")
+    s = family.spec.stride
     out = [ZERO] * (nmax + 1)
-    out[::stride] = column
+    out[::s] = [factorial(s * m) * c for m, c in enumerate(formula(family.weights(nmax), s))]
     return out
 
 
 def table_det(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """Every value from the Hessenberg determinants D_0..D_m of the family's
     weights, all from one prefix pass: v_{sm} = (-1)^m (sm)! D_m(a_1..a_m)."""
-    family = FamilyId(kind, N)
-    stride = family.spec.stride
-    dets = hessenberg_det_prefixes(family.weights(nmax)[1:])
-    column = [(-1) ** m * factorial(stride * m) * d for m, d in enumerate(dets)]
-    return _spread(column, stride, nmax)
+    return _route(kind, "det", N, nmax, lambda w, s: [
+        (-1) ** m * d for m, d in enumerate(hessenberg_det_prefixes(w[1:]))])
 
 
-def _power_chain(weights: Sequence[Fraction], half: int, kmax: int) -> list[list[Fraction]]:
-    """Coefficients x^0..x^half of P^0..P^kmax, P = sum_j weights[j] x^j,
-    each power from the one before, as a column reduced by convolve's gcd
-    (unreduced, the denominators multiply up), and read as Fractions."""
-    poly, power = numerators(weights[: half + 1]), ([1] + [0] * half, 1)
+def _power_chain(weights: Sequence[Fraction], kmax: int) -> list[list[Fraction]]:
+    """Coefficients x^0..x^half of P^0..P^kmax, P = sum_j weights[j] x^j and
+    half = len(weights) - 1, each power from the one before, as a column
+    reduced by convolve's gcd (unreduced, the denominators multiply up), and
+    read as Fractions."""
+    half = len(weights) - 1
+    poly, power = numerators(weights), ([1] + [0] * half, 1)
     powers = [to_fractions(power)]
     for _ in range(kmax):
         power = convolve(power, poly, half)
@@ -91,18 +96,14 @@ def _power_chain(weights: Sequence[Fraction], half: int, kmax: int) -> list[list
 
 
 def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
-    """v_n = n! sum_{k=1}^n (-1)^k C(n+1, k+1) [x^{n/s}] P^k with
-    P = sum_j a_j x^j, every index read from one chain P^1..P^nmax."""
-    family = admit(kind, "binomial", N, nmax)
-    s = family.spec.stride
-    w = family.weights(nmax)
-    powers = _power_chain(w, len(w) - 1, nmax)
-    column = [ONE] + [
-        factorial(s * m)
-        * sum((-1) ** k * math.comb(s * m + 1, k + 1) * powers[k][m] for k in range(1, s * m + 1))
-        for m in range(1, len(w))
-    ]
-    return _spread(column, s, nmax)
+    """v_n = n! sum_{k=0}^n (-1)^k C(n+1, k+1) [x^{n/s}] P^k with
+    P = sum_j a_j x^j (the term k = 0 is [n = 0]), every index read from one
+    chain P^0..P^n."""
+    def sums(w: Sequence[Fraction], s: int) -> list[Fraction]:
+        powers = _power_chain(w, s * (len(w) - 1))
+        return [sum((-1) ** k * math.comb(s * m + 1, k + 1) * powers[k][m]
+                    for k in range(s * m + 1)) for m in range(len(w))]
+    return _route(kind, "binomial", N, nmax, sums)
 
 
 def _composition_sum(weights: Sequence[Fraction], half: int) -> Fraction:
@@ -124,7 +125,7 @@ def _composition_sum(weights: Sequence[Fraction], half: int) -> Fraction:
         prods = [1] * (r + 1)  # prods[i]: product of the first i parts
         prev = (0,) * r
         acc = 0
-        for parts in compositions(half, 1, r):
+        for parts in compositions(half, r):
             i = 0
             while parts[i] == prev[i]:
                 i += 1
@@ -136,45 +137,20 @@ def _composition_sum(weights: Sequence[Fraction], half: int) -> Fraction:
     return Fraction(total, den**half)
 
 
-def _explicit_value(weights: Sequence[Fraction], stride: int, m: int) -> Fraction:
-    """v_{sm} = (sm)! times the signed sum over the compositions of m of the
-    products of the weights."""
-    return factorial(stride * m) * _composition_sum(weights, m)
-
-
-def _trudi_value(weights: Sequence[Fraction], stride: int, m: int) -> Fraction:
-    """v_{sm} from the Trudi partition expansion of the determinant of
-    :func:`table_det`."""
-    # (-1)^m from the determinant prefactor folds into the Brioschi expansion
-    # as the sign (-1)^{t_1+...+t_m}.
-    return (-1) ** m * factorial(stride * m) * trudi_expand(weights[1 : m + 1])
-
-
-# method -> v_{sm} from the weights
-_EXPANSIONS = {"explicit": _explicit_value, "trudi": _trudi_value}
-
-
-def _expansion_table(method: str, kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
-    """v_0..v_nmax, each index by its own expansion."""
-    family = admit(kind, method, N, nmax)
-    if kind not in _EULER_TYPES:  # admit takes their trudi, which the det route serves
-        raise InvalidParameter(f"{kind.value} has no {method} expansion")
-    s = family.spec.stride
-    w = family.weights(nmax)
-    expand = _EXPANSIONS[method]
-    return _spread([ONE] + [expand(w, s, m) for m in range(1, len(w))], s, nmax)
-
-
 def table_explicit(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_{sm} = (sm)! times the signed sum over the compositions of m of the
     products of the weights, each index by its own enumeration."""
-    return _expansion_table("explicit", kind, N, nmax)
+    return _route(kind, "explicit", N, nmax,
+                  lambda w, s: [ONE] + [_composition_sum(w, m) for m in range(1, len(w))])
 
 
 def table_trudi(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """Each index from its own Trudi partition expansion of the determinant
     of :func:`table_det`."""
-    return _expansion_table("trudi", kind, N, nmax)
+    # (-1)^m from the determinant prefactor folds into the Brioschi expansion
+    # as the sign (-1)^{t_1+...+t_m}.
+    return _route(kind, "trudi", N, nmax, lambda w, s: [ONE] + [
+        (-1) ** m * trudi_expand(w[1 : m + 1]) for m in range(1, len(w))])
 
 
 def _table_recurrence(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:

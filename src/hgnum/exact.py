@@ -153,29 +153,26 @@ def chain_convolve(
     return out
 
 
-def compositions(total: int, min_part: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of ``length`` integers >= min_part summing to ``total``, in
+def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``length`` positive integers summing to ``total``, in
     lexicographic order."""
-    if min_part not in (0, 1):
-        raise InvalidParameter(f"min_part must be 0 or 1, got {min_part}")
     if length <= 0:
         raise InvalidParameter(f"length must be positive, got {length}")
-    if total < min_part * length:
+    if total < length:
         return
-    # Lexicographic successor: the rightmost part j above min_part gives one
-    # to part j-1 and the rest of itself to the last part, parts j..-2 drop
-    # to min_part.
+    # Lexicographic successor: the rightmost part j above 1 gives one to part
+    # j-1 and the rest of itself to the last part, parts j..-2 drop to 1.
     last = length - 1
-    parts = [min_part] * last + [total - min_part * last]
+    parts = [1] * last + [total - last]
     while True:
         yield tuple(parts)
         j = last
-        while j and parts[j] == min_part:
+        while j and parts[j] == 1:
             j -= 1
         if not j:
             return
         spare = parts[j] - 1
-        parts[j] = min_part
+        parts[j] = 1
         parts[j - 1] += 1
         parts[last] = spare
 

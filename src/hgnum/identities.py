@@ -36,15 +36,11 @@ class FailureWitness:
 class IdentityReport:
     identity_id: str
     range_checked: str
-    passed: bool
     first_failure: FailureWitness | None = None
 
-    def __post_init__(self) -> None:
-        assert self.passed == (self.first_failure is None)
-
-
-def _report(identity_id: str, range_checked: str, failure: FailureWitness | None) -> IdentityReport:
-    return IdentityReport(identity_id, range_checked, failure is None, failure)
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 def _first_diff(
@@ -103,13 +99,14 @@ def check_euler_pair_sum(nmax: int) -> IdentityReport:
     sums, s_den = convolve((even, den), ([1] * len(even), 1), 2 * nmax, egf=True)
     zeros = ([0] * len(sums), 1)
     witness = _first_diff((sums[::2], s_den), zeros, first=1)
-    return _report("euler-pair-sum", f"1 <= n <= {nmax}", witness)
+    return IdentityReport("euler-pair-sum", f"1 <= n <= {nmax}", witness)
 
 
 def check_E1_bernoulli(nmax: int) -> IdentityReport:
     """E_{1,n} = -(n-1) B_n for 1 <= n <= nmax."""
     rhs = _scaled(table(_BERNOULLI, nmax).column, _index_weight(1, nmax))
-    return _report("e1-bernoulli", f"1 <= n <= {nmax}", _first_diff(_ladder(2, nmax), rhs, first=1))
+    witness = _first_diff(_ladder(2, nmax), rhs, first=1)
+    return IdentityReport("e1-bernoulli", f"1 <= n <= {nmax}", witness)
 
 
 def check_bernoulli_lemma(nmax: int) -> IdentityReport:
@@ -119,7 +116,7 @@ def check_bernoulli_lemma(nmax: int) -> IdentityReport:
     weighted = _scaled(_over_factorials((b, den), nmax), [i - 1 for i in range(nmax + 1)])
     lhs = convolve(weighted, (inv_fact[2:], f_den), nmax)
     rhs = _over_factorials(([-b[n + 1] if n % 2 else 0 for n in range(nmax + 1)], den), nmax)
-    return _report("bernoulli-lemma", f"1 <= n <= {nmax}", _first_diff(lhs, rhs, first=1))
+    return IdentityReport("bernoulli-lemma", f"1 <= n <= {nmax}", _first_diff(lhs, rhs, first=1))
 
 
 def y2_column(N: int, nmax: int) -> tuple[list[int], int]:
@@ -137,7 +134,7 @@ def check_tangent_closed_form(nmax: int) -> IdentityReport:
     lcm, ps = math.lcm(*range(2, 2 * nmax + 3, 2)), [4 ** (n + 1) for n in range(nmax + 1)]
     rhs = [p * (p - 1) * b[2 * n + 2] * (lcm // (2 * n + 2)) for n, p in enumerate(ps)]
     witness = _first_diff(y2_column(0, nmax), (rhs, den * lcm))
-    return _report("tangent", f"0 <= n <= {nmax}", witness)
+    return IdentityReport("tangent", f"0 <= n <= {nmax}", witness)
 
 
 def tangent_complex_sum(n: int) -> tuple[Fraction, Fraction]:
@@ -164,11 +161,11 @@ def check_tangent_complex_sum(nmax: int) -> IdentityReport:
     for n in range(nmax + 1):
         re, im = tangent_complex_sum(n)
         if im:
-            return _report("tangent-complex", rng, FailureWitness(("imag", n), im, ZERO))
+            return IdentityReport("tangent-complex", rng, FailureWitness(("imag", n), im, ZERO))
         if re.numerator * den != expected[n] * re.denominator:
             witness = FailureWitness((n,), re, Fraction(expected[n], den))
-            return _report("tangent-complex", rng, witness)
-    return _report("tangent-complex", rng, None)
+            return IdentityReport("tangent-complex", rng, witness)
+    return IdentityReport("tangent-complex", rng)
 
 
 def check_tan_maclaurin(nmax: int) -> IdentityReport:
@@ -177,13 +174,14 @@ def check_tan_maclaurin(nmax: int) -> IdentityReport:
     tan, den = convolve(numerators(gen_sin(order)), numerators(reciprocal(gen_cos(order))), order)
     for m in range(0, order + 1, 2):
         if tan[m]:
-            return _report("tan-maclaurin", rng, FailureWitness((m,), Fraction(tan[m], den), ZERO))
+            witness = FailureWitness((m,), Fraction(tan[m], den), ZERO)
+            return IdentityReport("tan-maclaurin", rng, witness)
     y, y_den = y2_column(0, nmax)
     # (-1)^n y2(0, n) at t^{2n+1}, then over (2n+1)!
     signed = [0] * (order + 1)
     signed[1::2] = [-v if n % 2 else v for n, v in enumerate(y)]
     rhs, r_den = _over_factorials((signed, y_den), order)
-    return _report("tan-maclaurin", rng, _first_diff((tan[1::2], den), (rhs[1::2], r_den)))
+    return IdentityReport("tan-maclaurin", rng, _first_diff((tan[1::2], den), (rhs[1::2], r_den)))
 
 
 def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
@@ -192,7 +190,7 @@ def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
     x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
     lhs = convolve(x, x, nmax, egf=True)
     nums, den = convolve(_scaled(x, _index_weight(w, nmax)), y, nmax, egf=True)
-    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(lhs, (nums, den * w)))
+    return IdentityReport(identity_id, f"0 <= n <= {nmax}", _first_diff(lhs, (nums, den * w)))
 
 
 def check_sumprod_pair(N: int, nmax: int) -> IdentityReport:
@@ -223,7 +221,8 @@ def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
     inner = convolve(_scaled(x, _index_weight(w, nmax)), y, nmax, egf=True)
     nums, den = convolve(_scaled(inner, _index_weight(2 * w, nmax)), y, nmax, egf=True)
     cube = convolve(convolve(x, x, nmax, egf=True), x, nmax, egf=True)
-    return _report(identity_id, f"0 <= n <= {nmax}", _first_diff(cube, (nums, den * 2 * w * w)))
+    witness = _first_diff(cube, (nums, den * 2 * w * w))
+    return IdentityReport(identity_id, f"0 <= n <= {nmax}", witness)
 
 
 def check_sumprod_trinomial(N: int, nmax: int) -> IdentityReport:
@@ -298,4 +297,4 @@ def check_series_identities(N: int, M: int) -> IdentityReport:
     if N < 1:
         raise InvalidParameter(f"series identities need N >= 1, got {N}")
     witness = next((w for w in _series_failures(N, M) if w is not None), None)
-    return _report(f"series-identities(N={N})", f"order {M}", witness)
+    return IdentityReport(f"series-identities(N={N})", f"order {M}", witness)

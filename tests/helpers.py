@@ -96,7 +96,15 @@ def all_compositions(total):
     """The compositions of ``total`` into positive parts, every length from 1
     to ``total``, shortest first."""
     for length in range(1, total + 1):
-        yield from compositions(total, 1, length)
+        yield from compositions(total, length)
+
+
+def weak_compositions(total, length):
+    """Tuples of ``length`` nonnegative integers summing to ``total``, in
+    lexicographic order: the compositions of total + length into ``length``
+    positive parts, each part less one."""
+    for parts in compositions(total + length, length):
+        yield tuple(p - 1 for p in parts)
 
 
 def recursive_partition_multiplicities(m):
@@ -235,7 +243,7 @@ def series_identities_oracle(N, M):
                 break
         if witness is not None:
             break
-    return IdentityReport(f"series-identities(N={N})", f"order {M}", witness is None, witness)
+    return IdentityReport(f"series-identities(N={N})", f"order {M}", witness)
 
 
 def sumprod_oracle(N, nmax, trinomial):

@@ -27,7 +27,9 @@ from hgnum.identities import (
 )
 from hgnum.linalg import hessenberg_det_prefixes
 
-from helpers import TruncatedSeries, closed_small, inverse_pair_check, scale
+from helpers import (
+    TruncatedSeries, closed_small, inverse_pair_check, scale, weak_compositions,
+)
 
 EULER = FamilyKind.HG_EULER
 COMP = FamilyKind.COMP_HG_EULER
@@ -171,7 +173,7 @@ def _ht_product_rule_holds(factors, n):
     # hts[i][p]: the p-th divided-power derivative of factor i
     hts = [[f.hasse_teichmuller(p) for p in range(n + 1)] for f in factors]
     rhs = None
-    for parts in compositions(n, 0, len(factors)):
+    for parts in weak_compositions(n, len(factors)):
         term = hts[0][parts[0]]
         for ht, p in zip(hts[1:], parts[1:]):
             term = term * ht[p]
@@ -191,7 +193,7 @@ def _ht_quotient_rules_hold(f, n):
     # strict-composition form
     rhs1 = TruncatedSeries.zero(order)
     for k in range(1, n + 1):
-        for parts in compositions(n, 1, k):
+        for parts in compositions(n, k):
             term = inv_pows[k]
             for p in parts:
                 term = term * ht[p]
@@ -200,7 +202,7 @@ def _ht_quotient_rules_hold(f, n):
     rhs2 = TruncatedSeries.zero(order)
     for k in range(1, n + 1):
         weight = F((-1) ** k) * binomial(n + 1, k + 1)
-        for parts in compositions(n, 0, k):
+        for parts in weak_compositions(n, k):
             term = inv_pows[k]
             for p in parts:
                 term = term * ht[p]

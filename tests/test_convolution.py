@@ -46,9 +46,9 @@ def reference_report(identity_id, nmax, lhs_at, rhs_at):
     for n in range(nmax + 1):
         lhs, rhs = lhs_at(n), rhs_at(n)
         if lhs != rhs:
-            return IdentityReport(identity_id, f"0 <= n <= {nmax}", False,
+            return IdentityReport(identity_id, f"0 <= n <= {nmax}",
                                   FailureWitness((n,), lhs, rhs))
-    return IdentityReport(identity_id, f"0 <= n <= {nmax}", True)
+    return IdentityReport(identity_id, f"0 <= n <= {nmax}")
 
 
 def reference_y2(N, n):
@@ -189,9 +189,9 @@ def reference_from_one(identity_id, nmax, lhs_at, rhs_at):
     for n in range(1, nmax + 1):
         lhs, rhs = lhs_at(n), rhs_at(n)
         if lhs != rhs:
-            return IdentityReport(identity_id, f"1 <= n <= {nmax}", False,
+            return IdentityReport(identity_id, f"1 <= n <= {nmax}",
                                   FailureWitness((n,), lhs, rhs))
-    return IdentityReport(identity_id, f"1 <= n <= {nmax}", True)
+    return IdentityReport(identity_id, f"1 <= n <= {nmax}")
 
 
 def reference_euler_pair_sum(nmax):

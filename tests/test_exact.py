@@ -110,9 +110,6 @@ class TestCompositions:
         got = list(all_compositions(3))
         assert got == [(3,), (1, 2), (2, 1), (1, 1, 1)]
 
-    def test_weak_length_two(self):
-        assert list(compositions(2, 0, 2)) == [(0, 2), (1, 1), (2, 0)]
-
     def test_count_is_power_of_two(self):
         for n in range(1, 21):
             assert sum(1 for _ in all_compositions(n)) == 2 ** (n - 1)
@@ -124,7 +121,7 @@ class TestCompositions:
         # C(n-1, r-1) compositions of n into r positive parts
         for n in range(1, 10):
             for r in range(1, n + 1):
-                assert sum(1 for _ in compositions(n, 1, r)) == binomial(n - 1, r - 1)
+                assert sum(1 for _ in compositions(n, r)) == binomial(n - 1, r - 1)
 
     def test_each_tuple_once_and_valid(self):
         seen = set()
@@ -135,19 +132,18 @@ class TestCompositions:
 
     def test_fixed_length_is_the_sorted_product(self):
         # every tuple of the right length and total, in lexicographic order
-        for min_part in (0, 1):
-            for total in range(8):
-                for length in range(1, 6):
-                    want = [
-                        parts
-                        for parts in itertools.product(range(min_part, total + 1), repeat=length)
-                        if sum(parts) == total
-                    ]
-                    assert list(compositions(total, min_part, length)) == want
+        for total in range(8):
+            for length in range(1, 6):
+                want = [
+                    parts
+                    for parts in itertools.product(range(1, total + 1), repeat=length)
+                    if sum(parts) == total
+                ]
+                assert list(compositions(total, length)) == want
 
-    def test_weak_needs_length(self):
+    def test_needs_length(self):
         with pytest.raises(InvalidParameter):
-            list(compositions(2, 0, 0))
+            list(compositions(2, 0))
 
 
 class TestPartitionMultiplicities:

@@ -7,7 +7,7 @@ their own, so each of them changes one method and ``all`` exits 3.  For the
 Euler types every other method has a kernel of its own too.  For hg-bernoulli
 and hg-cauchy the Hessenberg determinants also serve ``trudi``, so that kernel
 changes two methods, and the Euler-only kernels and the other family's
-recurrence change nothing.  Three kernels are shared on purpose.  The
+recurrence change nothing.  Four kernels are shared on purpose.  The
 factorial-ratio constructor ``gen_ratio`` is the denominator of hg-euler,
 comp-hg-euler and hg-bernoulli, so it feeds each of their routes but
 ``recurrence``: ``series`` reads the series, the others its weights.  That no
@@ -24,7 +24,11 @@ determinants, so it changes ``recurrence`` and ``det`` (and ``trudi`` at
 stride 1).  What guards it is outside the package: the modular oracle
 (``test_modular_oracle.py``) checks both routes against residues mod a prime,
 and the Riccati oracle (``test_riccati_oracle.py``) checks them against
-exact values from a recurrence with no weights and no lcm.
+exact values from a recurrence with no weights and no lcm.  The closed-form
+frame ``_route`` admits a request, reads the weights and puts (sm)! c_m on the
+stride for every closed-form route, so it changes ``explicit``, ``binomial``,
+``det`` and ``trudi`` for the Euler types and ``det`` and ``trudi`` at stride
+1; ``recurrence`` and ``series`` do not run it and check it.
 """
 
 import csv
@@ -54,6 +58,7 @@ KERNELS = {
     "trudi_expand": (closed_forms,),
     "_composition_sum": (closed_forms,),
     "_power_chain": (closed_forms,),
+    "_route": (closed_forms,),
 }
 
 EULER_METHODS = {
@@ -69,6 +74,7 @@ EULER_METHODS = {
     "trudi_expand": {"trudi"},
     "_composition_sum": {"explicit"},
     "_power_chain": {"binomial"},
+    "_route": {"explicit", "binomial", "det", "trudi"},
 }
 # kind -> kernel -> methods, for the stride-1 families, which differ only in
 # their own recurrence and denominator and in the chain product
@@ -81,6 +87,7 @@ STRIDE1_METHODS = {
         "int_convolve": {"series"},
         "chain_convolve": chain,
         "hessenberg_det_prefixes": {"det", "trudi"},
+        "_route": {"det", "trudi"},
     }
     for kind, own, denominator, chain in (
         (FamilyKind.HG_BERNOULLI, "_binomial_recurrence", "gen_ratio", {"series"}),
