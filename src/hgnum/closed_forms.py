@@ -14,10 +14,11 @@ method of which family.  Only the Euler types have the composition, binomial
 and Trudi expansions; for hg-bernoulli and hg-cauchy the det route serves
 both ``det`` and ``trudi``, and ``--method all`` runs each route once.
 
-The determinant, composition and Trudi kernels run on plain ints: each takes
-the weights as integer numerators over their common denominator
+Every closed-form kernel runs on plain ints: each takes the weights as
+integer numerators over their common denominator
 (:func:`~hgnum.exact.numerators`) and builds a ``Fraction`` once per
-determinant, once per composition sum and once per Trudi expansion.
+determinant, once per composition sum, once per Trudi expansion and once per
+index of the binomial route, whose chain of powers stays in integer columns.
 
 :func:`admit` is the one admission check, made before any route runs: the
 method must be in the registry for the family, N in the family's range and
@@ -34,10 +35,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .exact import (
-    InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators, to_fractions)
+    InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators)
 from .linalg import hessenberg_det_prefixes, trudi_expand
 from .families import SPECS, FamilyId, FamilyKind, table, via_series
 
@@ -74,35 +76,47 @@ def _route(kind: FamilyKind, method: str, N: int, nmax: int,
     return out
 
 
+def _alternate(values: Sequence[Fraction]) -> list[Fraction]:
+    """(-1)^m x_m for each x_m of x_0, x_1, ..."""
+    return [-x if m % 2 else x for m, x in enumerate(values)]
+
+
 def table_det(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """Every value from the Hessenberg determinants D_0..D_m of the family's
     weights, all from one prefix pass: v_{sm} = (-1)^m (sm)! D_m(a_1..a_m)."""
-    return _route(kind, "det", N, nmax, lambda w, s: [
-        (-1) ** m * d for m, d in enumerate(hessenberg_det_prefixes(w[1:]))])
+    return _route(kind, "det", N, nmax, lambda w, s: _alternate(hessenberg_det_prefixes(w[1:])))
 
 
-def _power_chain(weights: Sequence[Fraction], kmax: int) -> list[list[Fraction]]:
+def _power_chain(weights: Sequence[Fraction], kmax: int) -> list[tuple[list[int], int]]:
     """Coefficients x^0..x^half of P^0..P^kmax, P = sum_j weights[j] x^j and
     half = len(weights) - 1, each power from the one before, as a column
-    reduced by convolve's gcd (unreduced, the denominators multiply up), and
-    read as Fractions."""
+    reduced by convolve's gcd (unreduced, the denominators multiply up)."""
     half = len(weights) - 1
     poly, power = numerators(weights), ([1] + [0] * half, 1)
-    powers = [to_fractions(power)]
+    powers = [power]
     for _ in range(kmax):
         power = convolve(power, poly, half)
-        powers.append(to_fractions(power))
+        powers.append(power)
     return powers
 
 
 def table_binomial(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     """v_n = n! sum_{k=0}^n (-1)^k C(n+1, k+1) [x^{n/s}] P^k with
     P = sum_j a_j x^j (the term k = 0 is [n = 0]), every index read from one
-    chain P^0..P^n."""
+    chain P^0..P^n.  Each index's sum is one integer sum over L, the lcm of
+    the denominators of P^0..P^n, and one Fraction."""
     def sums(w: Sequence[Fraction], s: int) -> list[Fraction]:
         powers = _power_chain(w, s * (len(w) - 1))
-        return [sum((-1) ** k * math.comb(s * m + 1, k + 1) * powers[k][m]
-                    for k in range(s * m + 1)) for m in range(len(w))]
+        lcms = list(accumulate((den for _, den in powers), math.lcm))
+        out = []
+        for m in range(len(w)):
+            n, total = s * m, 0
+            for k in range(n + 1):
+                nums, den = powers[k]
+                term = math.comb(n + 1, k + 1) * nums[m] * (lcms[n] // den)
+                total += -term if k % 2 else term
+            out.append(Fraction(total, lcms[n]))
+        return out
     return _route(kind, "binomial", N, nmax, sums)
 
 
@@ -149,8 +163,8 @@ def table_trudi(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:
     of :func:`table_det`."""
     # (-1)^m from the determinant prefactor folds into the Brioschi expansion
     # as the sign (-1)^{t_1+...+t_m}.
-    return _route(kind, "trudi", N, nmax, lambda w, s: [ONE] + [
-        (-1) ** m * trudi_expand(w[1 : m + 1]) for m in range(1, len(w))])
+    return _route(kind, "trudi", N, nmax, lambda w, s: _alternate(
+        [ONE] + [trudi_expand(w[1 : m + 1]) for m in range(1, len(w))]))
 
 
 def _table_recurrence(kind: FamilyKind, N: int, nmax: int) -> list[Fraction]:

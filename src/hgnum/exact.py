@@ -4,7 +4,7 @@ The scalar is :class:`fractions.Fraction`, an arbitrary-precision rational in
 canonical reduced form (positive denominator, gcd(|p|, q) = 1, zero as 0/1).
 Sequences of them travel as columns (nums, den): integer numerators over one
 positive denominator (:func:`numerators`), which products keep with one gcd
-(:func:`convolve`); :func:`to_fractions` turns one back into Fractions.
+(:func:`convolve`); a kernel builds a Fraction only for a value it returns.
 """
 
 from __future__ import annotations
@@ -41,17 +41,6 @@ def binomial(n: int, k: int) -> Fraction:
     return factorial(n) / (factorial(k) * factorial(n - k))
 
 
-def multinomial(ts: Sequence[int]) -> int:
-    """(sum ts)! / prod(t!)."""
-    if min(ts, default=0) < 0:
-        raise InvalidParameter(f"multinomial with a negative part in {tuple(ts)}")
-    out = math.factorial(sum(ts))
-    for t in ts:
-        if t > 1:
-            out //= math.factorial(t)
-    return out
-
-
 def numerators(column: Sequence[Fraction]) -> tuple[list[int], int]:
     """The column as integer numerators over one common denominator, the lcm
     of its denominators."""
@@ -76,12 +65,6 @@ def over_running_lcm(nmax: int,
             lcm = grown
         scaled.append(v.numerator * (lcm // v.denominator))
     return tuple(values)
-
-
-def to_fractions(column: tuple[list[int], int]) -> list[Fraction]:
-    """The column's values as Fractions, each reduced on its own."""
-    nums, den = column
-    return [Fraction(c, den) if c else ZERO for c in nums]
 
 
 def convolve(

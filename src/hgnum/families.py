@@ -26,11 +26,10 @@ import enum
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import InvalidParameter, factorial, numerators, over_running_lcm
 from .series import gen_hgcauchy_denom, gen_ratio, reciprocal
@@ -43,8 +42,7 @@ class FamilyKind(enum.Enum):
     HG_CAUCHY = "hg-cauchy"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """``denominator(N, order)`` is F up to t^order, the tuple of its
     coefficients.  ``recurrence(N, nmax)`` is the family's table route, a
     recurrence on the numbers themselves."""
@@ -65,17 +63,19 @@ def _check_nmax(nmax: int) -> None:
 MAX_N = 10_000
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    kind: FamilyKind
-    N: int
+class FamilyId(NamedTuple("FamilyId", [("kind", FamilyKind), ("N", int)])):
+    """One family, (kind, N) with N in the family's range; equal to and
+    hashed as that tuple, which keys the table memo."""
 
-    def __post_init__(self) -> None:
-        least = self.spec.least_N
-        if self.N < least:
-            raise InvalidParameter(f"{self.kind.value} needs N >= {least}, got {self.N}")
-        if self.N > MAX_N:
-            raise InvalidParameter(f"{self.kind.value} needs N <= {MAX_N}, got {self.N}")
+    __slots__ = ()
+
+    def __new__(cls, kind: FamilyKind, N: int) -> FamilyId:
+        least = SPECS[kind].least_N
+        if N < least:
+            raise InvalidParameter(f"{kind.value} needs N >= {least}, got {N}")
+        if N > MAX_N:
+            raise InvalidParameter(f"{kind.value} needs N <= {MAX_N}, got {N}")
+        return super().__new__(cls, kind, N)
 
     @property
     def spec(self) -> FamilySpec:
@@ -89,12 +89,25 @@ class FamilyId:
         return list(self.spec.denominator(self.N, nmax - nmax % stride)[::stride])
 
 
-@dataclass(frozen=True)
 class NumberTable:
-    family: FamilyId
-    values: tuple[Fraction, ...]
-    # the memo's table that this one is a prefix of
-    whole: NumberTable | None = field(default=None, compare=False, repr=False)
+    """The values v_0..v_nmax of one family.  ``whole`` is the memo's table
+    that this one is a prefix of, if any; two tables are equal when their
+    families and values are, whatever their ``whole``."""
+
+    def __init__(self, family: FamilyId, values: tuple[Fraction, ...],
+                 whole: NumberTable | None = None) -> None:
+        self.family, self.values, self.whole = family, values, whole
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NumberTable):
+            return NotImplemented
+        return (self.family, self.values) == (other.family, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.values))
+
+    def __repr__(self) -> str:
+        return f"NumberTable(family={self.family!r}, values={self.values!r})"
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]

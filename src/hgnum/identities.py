@@ -15,25 +15,22 @@ lowest terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact import InvalidParameter, ZERO, convolve, numerators
 from .families import FamilyId, FamilyKind, table
 from .series import gen_cos, gen_ratio, gen_sin, reciprocal
 
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(NamedTuple):
     indices: tuple
     lhs: Fraction
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     range_checked: str
     first_failure: FailureWitness | None = None

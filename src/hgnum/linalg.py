@@ -9,19 +9,19 @@ above.  Its determinant satisfies the alternating recurrence
 which is O(m^2) rational operations.  Both kernels take the column as integer
 numerators over one common denominator (:func:`~hgnum.exact.numerators`) and
 add plain ints: each step of the recurrence builds one ``Fraction``, and the
-expansion one in all.  The dense fraction-free oracle lives in the test
-suite, not here.
+expansion one in all, with each partition's multinomial read off one table of
+factorials.  The dense fraction-free oracle lives in the test suite, not
+here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .exact import (
-    InvalidParameter, multinomial, numerators, over_running_lcm, partition_multiplicities,
-)
+from .exact import InvalidParameter, numerators, over_running_lcm, partition_multiplicities
 
 
 def hessenberg_det_prefixes(entries: Sequence[Fraction]) -> list[Fraction]:
@@ -47,20 +47,25 @@ def trudi_expand(entries: Sequence[Fraction]) -> Fraction:
 
     With a_k = x_k / A, the integer sums S_r of multinomial(t) x_1^{t_1} ...
     x_m^{t_m} over the partitions with r = sum t parts give the value
-    sum_r (-1)^{m-r} S_r / A^r, one Fraction in all.  It equals
-    hessenberg_det_prefixes(entries)[-1].
+    sum_r (-1)^{m-r} S_r / A^r, one Fraction in all.  One pass over each
+    partition's multiplicities gives r, prod t_k! and the product of powers,
+    and the multinomial r! / prod t_k! comes from a table of 0!..m!.  It
+    equals hessenberg_det_prefixes(entries)[-1].
     """
     m = len(entries)
     if m < 1:
         raise InvalidParameter("trudi_expand needs at least one entry")
     nums, den = numerators(entries)
+    fact = list(accumulate(range(1, m + 1), mul, initial=1))
     by_parts = [0] * (m + 1)
     for ts in partition_multiplicities(m):
-        term = multinomial(ts)
+        r, ways, term = 0, 1, 1
         for x, t in zip(nums, ts):
             if t:
+                r += t
+                ways *= fact[t]
                 term *= x**t
-        by_parts[sum(ts)] += term
+        by_parts[r] += term * (fact[r] // ways)
     # (-1)^{m-r} / A^r = (-A)^{m-r} / A^m
     total = sum(s * (-den) ** (m - r) for r, s in enumerate(by_parts) if s)
     return Fraction(total, den**m)

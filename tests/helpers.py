@@ -31,6 +31,12 @@ def _over_lcm(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def to_fractions(column):
+    """The values of a column (nums, den) as Fractions, each reduced on its own."""
+    nums, den = column
+    return [F(c, den) for c in nums]
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """A series known exactly to t^order, as the tuple of its coefficients.

@@ -49,8 +49,6 @@ SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv
 # "module: source line :: column: before -> after", as mutant_key gives it: why
 # the mutant computes the same values
 EQUIVALENT = {
-    "exact: if t > 1: :: 3: t > 1 -> t >= 1": "dividing by 1! changes nothing",
-    "exact: if min(ts, default=0) < 0: :: 19: 0 -> 1": "an empty ts is not negative either way",
     "exact: if hi - lo < 32: :: 3: hi - lo < 32 -> hi - lo <= 32":
         "the bound only picks which of two equal loops runs",
     "exact: if hi - lo < 32: :: 3: hi - lo -> hi + lo":
@@ -83,6 +81,8 @@ EQUIVALENT = {
     "families: acc = (acc + (t if (n - k) % 2 else -t)) * (k + 1) :: 20: n - k -> n + k":
         "n - k and n + k have the same parity",
     "linalg: by_parts = [0] * (m + 1) :: 22: 1 -> 2": "by_parts gains a slot that is never read",
+    "linalg: fact = list(accumulate(range(1, m + 1), mul, initial=1)) :: 36: 1 -> 2":
+        "fact gains an entry past m! that is never read: no partition of m has more than m parts",
     "closed_forms: powers = _power_chain(w, s * (len(w) - 1)) :: 30: len(w) - 1 -> len(w) + 1":
         "powers past P^{sM} are built and never read: the largest index, sM, reads P^0..P^{sM}",
     "closed_forms: nums, den = numerators(weights[1 : half + 1]) :: 42: 1 -> 2":

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 from hgnum.closed_forms import table_routes, value
-from hgnum.exact import binomial, compositions, factorial, to_fractions
+from hgnum.exact import binomial, compositions, factorial
 from hgnum.families import FamilyId, FamilyKind, table, via_series
 from hgnum.goldens import TABLE1
 from hgnum.identities import (
@@ -28,7 +28,7 @@ from hgnum.identities import (
 from hgnum.linalg import hessenberg_det_prefixes
 
 from helpers import (
-    TruncatedSeries, closed_small, inverse_pair_check, scale, weak_compositions,
+    TruncatedSeries, closed_small, inverse_pair_check, scale, to_fractions, weak_compositions,
 )
 
 EULER = FamilyKind.HG_EULER

@@ -9,9 +9,10 @@ skips.
 
 import pytest
 
-from hgnum.exact import to_fractions
 from hgnum.families import FamilyId, FamilyKind, table, via_series
 from hgnum.identities import y2_column
+
+from helpers import to_fractions
 
 
 def tangent_numbers(n):

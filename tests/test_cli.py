@@ -572,3 +572,15 @@ def test_the_parser_is_not_built_at_import():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert proc.stdout == "0\n" and proc.returncode == 0
+
+
+def test_import_pulls_in_no_dataclasses():
+    # dataclasses imports inspect, and the two cost a start-up more than most
+    # requests take; no class of the package needs them
+    src = os.path.dirname(os.path.dirname(hgnum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import hgnum.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.stdout == "[]\n" and proc.returncode == 0

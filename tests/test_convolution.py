@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from hgnum import identities
 from hgnum.exact import (
-    InvalidParameter, ZERO, binomial, convolve, factorial, numerators, to_fractions,
+    InvalidParameter, ZERO, binomial, convolve, factorial, numerators,
 )
 from hgnum.families import FamilyId, FamilyKind, NumberTable
 from hgnum.identities import FailureWitness, IdentityReport
 
-from helpers import TruncatedSeries, forward_reciprocal, sumprod_oracle
+from helpers import TruncatedSeries, forward_reciprocal, sumprod_oracle, to_fractions
 
 
 EULER = FamilyKind.HG_EULER

@@ -10,7 +10,6 @@ from hgnum.exact import (
     binomial,
     compositions,
     factorial,
-    multinomial,
     partition_multiplicities,
 )
 from helpers import all_compositions, recursive_partition_multiplicities, rising_factorial
@@ -76,20 +75,6 @@ class TestBinomial:
     def test_out_of_range_is_zero(self):
         assert binomial(5, -1) == 0
         assert binomial(5, 6) == 0
-
-
-class TestMultinomial:
-    def test_small(self):
-        assert multinomial((2, 1)) == 3
-        assert multinomial((0, 0, 0)) == 1
-
-    def test_is_a_plain_int(self):
-        assert type(multinomial((3, 1, 1))) is int
-
-    def test_against_factorial_ratio(self):
-        ts = (3, 1, 1)
-        expected = factorial(sum(ts)) / (factorial(3) * factorial(1) * factorial(1))
-        assert multinomial(ts) == expected == 20
 
 
 class TestRisingFactorial:

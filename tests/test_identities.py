@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgnum.exact import InvalidParameter, convolve, to_fractions
+from hgnum.exact import InvalidParameter, convolve
 from hgnum.families import FamilyId, FamilyKind, table
 from hgnum.identities import (
     _ladder,
@@ -22,7 +22,7 @@ from hgnum.identities import (
 )
 from hgnum.series import gen_ratio, reciprocal
 
-from helpers import TruncatedSeries
+from helpers import TruncatedSeries, to_fractions
 
 EULER = FamilyKind.HG_EULER
 BERNOULLI = FamilyKind.HG_BERNOULLI

@@ -11,9 +11,10 @@ with the oracle: the determinant route at N = 10000, the recurrence and
 series routes of every family at N = 10000 to n = 200 (and the Euler types'
 determinant route there too), the recurrence and determinant routes of
 comp-hg-euler N = 3 to n = 300, the recurrence and series routes of
-hg-bernoulli N = 7 and hg-cauchy N = 5 to n = 200, and the
-composition and Trudi expansions at their caps.  These are the sizes where
-the integer kernels' common denominators and rescaling do the most work.
+hg-bernoulli N = 7 and hg-cauchy N = 5 to n = 200, the composition and Trudi
+expansions at their caps, and the Euler types' binomial route at N = 10000 to
+n = 60.  These are the sizes where the integer kernels' common denominators
+and rescaling do the most work.
 """
 
 from collections import OrderedDict
@@ -66,6 +67,9 @@ def test_oracle_gives_the_classical_numbers(family, N, want):
         ("comp-hg-euler", 3, "trudi", 60),  # the partition cap
         # the binomial cap, 200, takes about 3 s; 80 is past every other test
         ("hg-euler", 1, "binomial", 80),
+        # the one-lcm sum of the binomial route where the denominators are largest
+        ("hg-euler", 10000, "binomial", 60),
+        ("comp-hg-euler", 10000, "binomial", 60),
     ],
 )
 def test_every_method_agrees_mod_p(monkeypatch, family, N, method, nmax):

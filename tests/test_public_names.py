@@ -24,7 +24,10 @@ PACKAGE = ROOT / "src" / "hgnum"
 UNREAD = {}
 # dunder method -> who calls it, with no syntax that reads it
 IMPLICIT = {
-    "__post_init__": "the __init__ that dataclasses generates calls it",
+    "__new__": "calling the class calls it",
+    "__init__": "calling the class calls it",
+    "__hash__": "hash() calls it, and so does a set or a dict key",
+    "__repr__": "repr() calls it, and so does a failed assertion",
 }
 # operator node -> the stem of its dunders
 OPERATORS = {

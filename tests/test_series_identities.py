@@ -9,12 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from hgnum import identities
-from hgnum.exact import to_fractions
 from hgnum.families import FamilyKind, NumberTable
 from hgnum.identities import check_series_identities
 from hgnum.series import gen_ratio, reciprocal
 
-from helpers import from_egf, series_identities_oracle
+from helpers import from_egf, series_identities_oracle, to_fractions
 
 
 @pytest.mark.parametrize("N", range(1, 7))

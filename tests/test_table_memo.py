@@ -11,8 +11,10 @@ import pytest
 
 from hgnum import families
 from hgnum.cli import main
-from hgnum.exact import InvalidParameter, numerators, to_fractions
+from hgnum.exact import InvalidParameter, numerators
 from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, table
+
+from helpers import to_fractions
 
 
 @pytest.fixture(autouse=True)
