@@ -25,7 +25,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from . import closed_forms, identities
 from .exact import InvalidParameter
@@ -149,30 +149,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suite_registry() -> dict[str, tuple[Callable[[int], list[IdentityReport]], int]]:
-    """suite -> (its reports at an index bound, its default bound)."""
-
-    def one(fn):
-        return lambda nmax: [fn(nmax)]
-
-    def per_n(fn, ns=range(1, 7)):
-        return lambda nmax: [fn(N, nmax) for N in ns]
-
-    return {
-        "euler-pair-sum": (one(identities.check_euler_pair_sum), 20),
-        "e1-bernoulli": (one(identities.check_E1_bernoulli), 60),
-        "bernoulli-lemma": (one(identities.check_bernoulli_lemma), 30),
-        "tangent": (one(identities.check_tangent_closed_form), 12),
-        "tangent-complex": (one(identities.check_tangent_complex_sum), 8),
-        "tan-maclaurin": (one(identities.check_tan_maclaurin), 12),
-        "sumprod-pair": (per_n(identities.check_sumprod_pair), 30),
-        "sumprod-pair-comp": (per_n(identities.check_sumprod_pair_comp), 30),
-        "sumprod-trinomial": (per_n(identities.check_sumprod_trinomial), 30),
-        "sumprod-trinomial-comp": (per_n(identities.check_sumprod_trinomial_comp), 30),
-        "series-identities": (per_n(identities.check_series_identities, range(1, 5)), 24),
-    }
-
-
 def _report_json(report: IdentityReport) -> dict:
     out: dict = {
         "identity": report.identity_id,
@@ -190,11 +166,10 @@ def _report_json(report: IdentityReport) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    registry = _suite_registry()
     if args.suite == "all":
-        selected = registry
-    elif args.suite in registry:
-        selected = {args.suite: registry[args.suite]}
+        selected = identities.SUITES
+    elif args.suite in identities.SUITES:
+        selected = {args.suite: identities.SUITES[args.suite]}
     else:
         raise InvalidParameter(f"unknown suite {args.suite!r}")
     if args.max_n is not None:

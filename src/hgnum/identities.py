@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import InvalidParameter, ZERO, convolve, numerators
 from .families import FamilyId, FamilyKind, table
@@ -181,30 +181,33 @@ def check_tan_maclaurin(nmax: int) -> IdentityReport:
     return IdentityReport("tan-maclaurin", rng, _first_diff((tan[1::2], den), (rhs[1::2], r_den)))
 
 
-def _sumprod_pair(identity_id: str, w: int, nmax: int) -> IdentityReport:
+def _rungs(w: int, nmax: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """The columns of 1/F_w and 1/F_{w-1}: E_N and Ehat_{N-1} at w = 2N,
+    Ehat_N and E_N at w = 2N+1.  Both need N >= 1, so w >= 2."""
+    if w < 2:
+        raise InvalidParameter(f"sums-of-products need w >= 2, got {w}")
+    return _ladder(w, nmax), _ladder(w - 1, nmax)
+
+
+def _sumprod_id(name: str, w: int) -> str:
+    """The report id: ``name(N=..)`` for E_N at w = 2N, ``name-comp(N=..)``
+    for Ehat_N at w = 2N+1."""
+    return f"{name}{'-comp' if w % 2 else ''}(N={w // 2})"
+
+
+def check_sumprod_pair(w: int, nmax: int) -> IdentityReport:
     """sum C(n,i) x_i x_{n-i} = sum C(n,k) (w-k)/w x_k y_{n-k}, with x and y
-    the numbers of 1/F_w and 1/F_{w-1}."""
-    x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
+    the numbers of 1/F_w and 1/F_{w-1}: at w = 2N, the pair identity of E_N
+    with the weights (2N-k)/(2N) on E_{N,k} Ehat_{N-1,n-k}; at w = 2N+1, its
+    complementary analogue."""
+    x, y = _rungs(w, nmax)
     lhs = convolve(x, x, nmax, egf=True)
     nums, den = convolve(_scaled(x, _index_weight(w, nmax)), y, nmax, egf=True)
-    return IdentityReport(identity_id, f"0 <= n <= {nmax}", _first_diff(lhs, (nums, den * w)))
+    witness = _first_diff(lhs, (nums, den * w))
+    return IdentityReport(_sumprod_id("sumprod-pair", w), f"0 <= n <= {nmax}", witness)
 
 
-def check_sumprod_pair(N: int, nmax: int) -> IdentityReport:
-    """sum C(n,i) E_{N,i} E_{N,n-i} = sum C(n,k) (2N-k)/(2N) E_{N,k} Ehat_{N-1,n-k}."""
-    if N < 1:
-        raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
-    return _sumprod_pair(f"sumprod-pair(N={N})", 2 * N, nmax)
-
-
-def check_sumprod_pair_comp(N: int, nmax: int) -> IdentityReport:
-    """Complementary analogue of the pair identity: w = 2N+1."""
-    if N < 1:
-        raise InvalidParameter(f"pair sums-of-products need N >= 1, got {N}")
-    return _sumprod_pair(f"sumprod-pair-comp(N={N})", 2 * N + 1, nmax)
-
-
-def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
+def check_sumprod_trinomial(w: int, nmax: int) -> IdentityReport:
     """Trinomial sums of products, with x and y the numbers of 1/F_w and
     1/F_{w-1}:
 
@@ -212,31 +215,17 @@ def _sumprod_trinomial(identity_id: str, w: int, nmax: int) -> IdentityReport:
       = sum_m sum_k C(n,m) C(m,k) (2w-m)(w-k)/(2w^2) x_k y_{n-m} y_{m-k},
 
     the right side as the inner convolution over k, weighted by w-k, inside
-    the outer one over m, weighted by 2w-m.
+    the outer one over m, weighted by 2w-m.  At w = 2N the weights are
+    (4N-m)(2N-k)/(8N^2) on E_k Ehat_{N-1,n-m} Ehat_{N-1,m-k}; at w = 2N+1 the
+    families swap, N-1 becomes N and the weights are
+    (4N-m+2)(2N-k+1)/(2(2N+1)^2).
     """
-    x, y = _ladder(w, nmax), _ladder(w - 1, nmax)
+    x, y = _rungs(w, nmax)
     inner = convolve(_scaled(x, _index_weight(w, nmax)), y, nmax, egf=True)
     nums, den = convolve(_scaled(inner, _index_weight(2 * w, nmax)), y, nmax, egf=True)
     cube = convolve(convolve(x, x, nmax, egf=True), x, nmax, egf=True)
     witness = _first_diff(cube, (nums, den * 2 * w * w))
-    return IdentityReport(identity_id, f"0 <= n <= {nmax}", witness)
-
-
-def check_sumprod_trinomial(N: int, nmax: int) -> IdentityReport:
-    """Trinomial sums of products for the main family: w = 2N, with the
-    weights (4N-m)(2N-k)/(8N^2) on E_k Ehat_{N-1,n-m} Ehat_{N-1,m-k}."""
-    if N < 1:
-        raise InvalidParameter(f"trinomial sums-of-products need N >= 1, got {N}")
-    return _sumprod_trinomial(f"sumprod-trinomial(N={N})", 2 * N, nmax)
-
-
-def check_sumprod_trinomial_comp(N: int, nmax: int) -> IdentityReport:
-    """Trinomial sums of products for the complementary family: w = 2N+1,
-    with the families swapped, N-1 replaced by N and the weights
-    (4N-m+2)(2N-k+1)/(2(2N+1)^2)."""
-    if N < 1:
-        raise InvalidParameter(f"trinomial sums-of-products need N >= 1, got {N}")
-    return _sumprod_trinomial(f"sumprod-trinomial-comp(N={N})", 2 * N + 1, nmax)
+    return IdentityReport(_sumprod_id("sumprod-trinomial", w), f"0 <= n <= {nmax}", witness)
 
 
 def _derivative(column: tuple[list[int], int]) -> tuple[list[int], int]:
@@ -295,3 +284,27 @@ def check_series_identities(N: int, M: int) -> IdentityReport:
         raise InvalidParameter(f"series identities need N >= 1, got {N}")
     witness = next((w for w in _series_failures(N, M) if w is not None), None)
     return IdentityReport(f"series-identities(N={N})", f"order {M}", witness)
+
+
+# suite -> (its reports at an index bound, its default bound), in the order
+# ``verify --suite all`` runs them.  A row names its checker in a lambda, so the
+# checker is looked up when the row runs: a wrapper installed over a checker by
+# name (a tracer, a profiler) is the one called.  The sums of products run for
+# N = 1..6, at w = 2N for E_N and at w = 2N+1 for Ehat_N.
+SUITES: dict[str, tuple[Callable[[int], list[IdentityReport]], int]] = {
+    "euler-pair-sum": (lambda nmax: [check_euler_pair_sum(nmax)], 20),
+    "e1-bernoulli": (lambda nmax: [check_E1_bernoulli(nmax)], 60),
+    "bernoulli-lemma": (lambda nmax: [check_bernoulli_lemma(nmax)], 30),
+    "tangent": (lambda nmax: [check_tangent_closed_form(nmax)], 12),
+    "tangent-complex": (lambda nmax: [check_tangent_complex_sum(nmax)], 8),
+    "tan-maclaurin": (lambda nmax: [check_tan_maclaurin(nmax)], 12),
+    "sumprod-pair": (lambda nmax: [check_sumprod_pair(2 * N, nmax) for N in range(1, 7)], 30),
+    "sumprod-pair-comp": (
+        lambda nmax: [check_sumprod_pair(2 * N + 1, nmax) for N in range(1, 7)], 30),
+    "sumprod-trinomial": (
+        lambda nmax: [check_sumprod_trinomial(2 * N, nmax) for N in range(1, 7)], 30),
+    "sumprod-trinomial-comp": (
+        lambda nmax: [check_sumprod_trinomial(2 * N + 1, nmax) for N in range(1, 7)], 30),
+    "series-identities": (
+        lambda nmax: [check_series_identities(N, nmax) for N in range(1, 5)], 24),
+}

@@ -253,7 +253,7 @@ def series_identities_oracle(N, M):
 
 
 def sumprod_oracle(N, nmax, trinomial):
-    """The first failure of ``check_sumprod_pair(N, nmax)`` (or, with
+    """The first failure of ``check_sumprod_pair(2 * N, nmax)`` (or, with
     ``trinomial``, of ``check_sumprod_trinomial``), or None: both sides of each
     n summed term by term in ``Fraction`` arithmetic, from the tables that
     ``identities.table`` serves, so a table doctored there reaches it too."""

@@ -1,5 +1,5 @@
-"""Mutation check for the integer kernels and the identity checkers, run as a
-CI job of its own.
+"""Mutation check for the integer kernels, the identity checkers and the CLI,
+run as a CI job of its own.
 
     python tests/mutation_check.py [module ...]     # default: every module in TESTS
 
@@ -39,9 +39,13 @@ TESTS = {
     "families": ["test_families.py", "test_family_spec.py", "test_table_memo.py",
                  "test_integer_kernels.py", "test_modular_oracle.py"],
     "linalg": ["test_linalg.py", "test_integer_kernels.py"],
-    "identities": ["test_identities.py", "test_series_identities.py", "test_convolution.py"],
+    # test_identities.py pins each row of the suite table (its default, N range
+    # and w) directly, and test_cli_bytes.py through verify --suite all's bytes
+    "identities": ["test_identities.py", "test_series_identities.py", "test_convolution.py",
+                   "test_cli_bytes.py"],
     "closed_forms": ["test_closed_forms.py", "test_table_routes.py", "test_integer_kernels.py",
                      "test_modular_oracle.py"],
+    "cli": ["test_cli.py", "test_cli_bytes.py", "test_cli_fuzz.py"],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -140,6 +144,12 @@ EQUIVALENT = {
         "a ladder series past F_2N is built and never read",
     "identities: fk = [numerators(gen_ratio(k, 2, M)) for k in range(2 * N + 1)] :: 52: 2 -> 3":
         "ladder series past F_2N are built and never read",
+    "cli: header = [\"n\"] + [str(n) for n in range(0, TABLE1_NMAX + 1, 2)] :: 57: 1 -> 2":
+        "TABLE1_NMAX is even: range(0, TABLE1_NMAX + 2, 2) is range(0, TABLE1_NMAX + 1, 2)",
+    "cli: for n in range(0, TABLE1_NMAX + 1, 2): :: 32: 1 -> 2":
+        "TABLE1_NMAX is even: range(0, TABLE1_NMAX + 2, 2) is range(0, TABLE1_NMAX + 1, 2)",
+    "cli: with ThreadPoolExecutor(max_workers=1) as pool: :: 36: 1 -> 2":
+        "the reports are collected in submission order, and families.table is lock-guarded",
 }
 
 

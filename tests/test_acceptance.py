@@ -17,9 +17,7 @@ from hgnum.identities import (
     check_E1_bernoulli,
     check_series_identities,
     check_sumprod_pair,
-    check_sumprod_pair_comp,
     check_sumprod_trinomial,
-    check_sumprod_trinomial_comp,
     check_tan_maclaurin,
     check_tangent_closed_form,
     check_tangent_complex_sum,
@@ -129,15 +127,12 @@ def test_criterion_5_five_way_agreement():
 
 @criterion(6, "sums-of-products theorems, pair and trinomial, 1 <= N <= 6, n <= 30")
 def test_criterion_6_sums_of_products():
+    # w = 2N for E_N, w = 2N+1 for the complementary Ehat_N
     for N in range(1, 7):
-        for check in (
-            check_sumprod_pair,
-            check_sumprod_pair_comp,
-            check_sumprod_trinomial,
-            check_sumprod_trinomial_comp,
-        ):
-            report = check(N, 30)
-            assert report.passed, (report.identity_id, report.first_failure)
+        for check in (check_sumprod_pair, check_sumprod_trinomial):
+            for w in (2 * N, 2 * N + 1):
+                report = check(w, 30)
+                assert report.passed, (report.identity_id, report.first_failure)
 
 
 @criterion(7, "series-identity suite at order 24 for 1 <= N <= 4")

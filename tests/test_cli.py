@@ -17,12 +17,11 @@ from hgnum.cli import (
     EXIT_VERIFY_FAILED,
     MAX_COMPUTE_N,
     SUITE_BOUND_FACTOR,
-    _suite_registry,
     format_rational,
     main,
 )
 from hgnum.exact import factorial
-from hgnum.families import MAX_N, FamilyKind
+from hgnum.families import MAX_N, FamilyId, FamilyKind, table
 
 from helpers import numbers_mod_p, residue
 
@@ -182,6 +181,28 @@ class TestCompute:
         assert len(calls) == len(set(calls)) == routes
         # every method still has its record for every n
         assert len(out.splitlines()) == 1 + 13 * methods
+
+    def test_a_disagreement_of_the_second_method_is_reported(self, capsys, monkeypatch):
+        # series is the second method of every family; bent at n = 2, it
+        # disagrees with the first, recurrence, and the line names both
+        real = closed_forms._table_series
+
+        def bent(kind, N, nmax):
+            column = real(kind, N, nmax)
+            column[2] += 1
+            return column
+
+        monkeypatch.setattr(closed_forms, "_table_series", bent)
+        code, _, err = run(
+            capsys, "compute", "--family", "hg-euler", "--N", "1", "--max-n", "4",
+            "--method", "all",
+        )
+        want = table(FamilyId(FamilyKind.HG_EULER, 1), 4)[2]
+        assert code == 3
+        assert err == (
+            f"disagreement at n=2: recurrence={format_rational(want)} "
+            f"series={format_rational(want + 1)}\n"
+        )
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "vals.csv"
@@ -371,6 +392,7 @@ class TestRejectedInput:
         assert err == "error: hg-euler needs N >= 0, got -1\n"
 
     def test_max_n_above_the_compute_bound(self, capsys):
+        assert MAX_COMPUTE_N == 1000  # the bound README documents
         over = str(MAX_COMPUTE_N + 1)
         for family, method in (
             ("hg-euler", "recurrence"), ("hg-bernoulli", "series"), ("hg-cauchy", "det"),
@@ -385,7 +407,7 @@ class TestRejectedInput:
             assert err == f"error: --max-n must be at most {MAX_COMPUTE_N}, got {over}\n"
 
     def test_max_n_above_a_suite_bound(self, capsys):
-        for suite, (_, default) in _suite_registry().items():
+        for suite, (_, default) in identities.SUITES.items():
             bound = SUITE_BOUND_FACTOR * default
             over = bound + 1
             err = self.rejected(capsys, "verify", "--suite", suite, "--max-n", str(over))
@@ -584,3 +606,9 @@ def test_import_pulls_in_no_dataclasses():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert proc.stdout == "[]\n" and proc.returncode == 0
+
+
+def test_exit_codes_are_the_documented_ones():
+    # the module docstring and README give these numbers, and scripts test for them
+    codes = (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_MISMATCH, cli.EXIT_VERIFY_FAILED)
+    assert codes == (0, 2, 3, 4)

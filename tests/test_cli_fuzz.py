@@ -14,13 +14,13 @@ import io
 import itertools
 import time
 
-from hgnum import cli, closed_forms
+from hgnum import cli, closed_forms, identities
 from hgnum.exact import InvalidParameter
 from hgnum.families import FamilyKind
 
 FAMILIES = [kind.value for kind in FamilyKind] + ["nope"]
 METHODS = list(cli._METHODS) + ["all", "nosuch"]
-SUITES = list(cli._suite_registry()) + ["all", "nosuch"]
+SUITES = list(identities.SUITES) + ["all", "nosuch"]
 NS = ["-1", "0", "1", "2", "24", "10000", "10001"]
 MAX_NS = ["-1", "0", "1", "2", "24", "31", "61", "201", "1001", "x", "", "1e3"]
 MISSING = None  # ``--max-n`` given last, with no value
@@ -43,11 +43,10 @@ def compute_admits(family, method, N, max_n):
 
 
 def verify_admits(suite, max_n):
-    registry = cli._suite_registry()
     if suite == "all":
-        defaults = [default for _, default in registry.values()]
-    elif suite in registry:
-        defaults = [registry[suite][1]]
+        defaults = [default for _, default in identities.SUITES.values()]
+    elif suite in identities.SUITES:
+        defaults = [identities.SUITES[suite][1]]
     else:
         return False
     return all(0 <= max_n <= cli.SUITE_BOUND_FACTOR * d for d in defaults)

@@ -221,11 +221,17 @@ def reference_bernoulli_lemma(nmax):
     )
 
 
+def at_N(check, comp):
+    """A sums-of-products checker of w as one of N: w = 2N for E_N, and
+    w = 2N+1 for Ehat_N with ``comp``."""
+    return lambda N, nmax: check(2 * N + 1 if comp else 2 * N, nmax)
+
+
 SUMPROD = [
-    (identities.check_sumprod_pair, reference_sumprod_pair),
-    (identities.check_sumprod_pair_comp, reference_sumprod_pair_comp),
-    (identities.check_sumprod_trinomial, reference_sumprod_trinomial),
-    (identities.check_sumprod_trinomial_comp, reference_sumprod_trinomial_comp),
+    (at_N(identities.check_sumprod_pair, False), reference_sumprod_pair),
+    (at_N(identities.check_sumprod_pair, True), reference_sumprod_pair_comp),
+    (at_N(identities.check_sumprod_trinomial, False), reference_sumprod_trinomial),
+    (at_N(identities.check_sumprod_trinomial, True), reference_sumprod_trinomial_comp),
 ]
 TANGENT = [
     (identities.check_tangent_closed_form, reference_tangent),
@@ -441,7 +447,7 @@ def test_a_doctored_table_gives_the_oracle_witness(
     # denominators are large, one value bent by 5/10007
     N, nmax = 3, 36
     perturb(monkeypatch, family, N + shift, index, F(5, 10007))
-    report = check(N, nmax)
+    report = check(2 * N, nmax)
     assert not report.passed
     assert report.first_failure.indices == (index,)
     assert report.first_failure == sumprod_oracle(N, nmax, trinomial)

@@ -5,15 +5,14 @@ import pytest
 from hgnum.exact import InvalidParameter, convolve
 from hgnum.families import FamilyId, FamilyKind, table
 from hgnum.identities import (
+    SUITES,
     _ladder,
     check_E1_bernoulli,
     check_bernoulli_lemma,
     check_euler_pair_sum,
     check_series_identities,
     check_sumprod_pair,
-    check_sumprod_pair_comp,
     check_sumprod_trinomial,
-    check_sumprod_trinomial_comp,
     check_tan_maclaurin,
     check_tangent_closed_form,
     check_tangent_complex_sum,
@@ -95,19 +94,19 @@ class TestTangent:
 class TestSumsOfProducts:
     @pytest.mark.parametrize("N", range(1, 5))
     def test_pair(self, N):
-        assert_passed(check_sumprod_pair(N, 20))
+        assert_passed(check_sumprod_pair(2 * N, 20))
 
     @pytest.mark.parametrize("N", range(1, 5))
     def test_pair_comp(self, N):
-        assert_passed(check_sumprod_pair_comp(N, 20))
+        assert_passed(check_sumprod_pair(2 * N + 1, 20))
 
     @pytest.mark.parametrize("N", range(1, 5))
     def test_trinomial(self, N):
-        assert_passed(check_sumprod_trinomial(N, 20))
+        assert_passed(check_sumprod_trinomial(2 * N, 20))
 
     @pytest.mark.parametrize("N", range(1, 5))
     def test_trinomial_comp(self, N):
-        assert_passed(check_sumprod_trinomial_comp(N, 20))
+        assert_passed(check_sumprod_trinomial(2 * N + 1, 20))
 
     @pytest.mark.parametrize("w", range(14))
     def test_ladder_is_the_reciprocal_of_gen_ratio(self, w):
@@ -120,10 +119,12 @@ class TestSumsOfProducts:
         assert 2 * e[0] * e[2] == F(-1, 3)
 
     def test_guard(self):
-        with pytest.raises(InvalidParameter):
-            check_sumprod_pair(0, 30)
-        with pytest.raises(InvalidParameter):
-            check_sumprod_trinomial_comp(0, 30)
+        # w = 0 is E_0 and w = 1 is Ehat_0: neither has a rung below it
+        for check in (check_sumprod_pair, check_sumprod_trinomial):
+            for w in (-1, 0, 1):
+                with pytest.raises(InvalidParameter, match=f"need w >= 2, got {w}$"):
+                    check(w, 30)
+            assert check(2, 0).identity_id.endswith("(N=1)")
 
     def test_trinomial_lhs_two_routes_agree(self):
         # triple binomial convolution vs coefficient extraction from (1/F)^3
@@ -157,3 +158,23 @@ def test_failure_reports_carry_witness():
     r = IdentityReport("demo", "0..3", w)
     assert not r.passed and r.first_failure == w
     assert IdentityReport("demo", "0..3").passed
+
+
+def test_suite_table():
+    # every row of ``verify``'s table: its name, default bound and place in
+    # ``--suite all``, and the ids and ranges of the reports it runs
+    sumprod = ["sumprod-pair", "sumprod-pair-comp", "sumprod-trinomial", "sumprod-trinomial-comp"]
+    singles = ["euler-pair-sum", "e1-bernoulli", "bernoulli-lemma", "tangent", "tangent-complex",
+               "tan-maclaurin"]
+    defaults = [(name, default) for name, (_, default) in SUITES.items()]
+    assert defaults == (
+        list(zip(singles, [20, 60, 30, 12, 8, 12])) + [(name, 30) for name in sumprod]
+        + [("series-identities", 24)]
+    )
+    ids = {name: [name] for name in singles}
+    ids.update({name: [f"{name}(N={N})" for N in range(1, 7)] for name in sumprod})
+    ids["series-identities"] = [f"series-identities(N={N})" for N in range(1, 5)]
+    for name, (reports, _) in SUITES.items():
+        got = reports(3)
+        assert [r.identity_id for r in got] == ids[name]
+        assert all(r.passed and r.range_checked.endswith(" 3") for r in got), name

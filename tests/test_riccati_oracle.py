@@ -18,6 +18,7 @@ share their prefix kernel ``exact.over_running_lcm``, without sharing that
 kernel's bookkeeping or the package's weights.
 """
 
+import sys
 from collections import OrderedDict
 from fractions import Fraction as F
 from functools import lru_cache
@@ -65,3 +66,17 @@ def test_route_matches_the_riccati_recurrence(monkeypatch, family, N, nmax, meth
     monkeypatch.setattr(families, "_memo", OrderedDict())
     kind = FamilyKind(family)
     assert tuple(table_routes()[kind, method](kind, N, nmax)) == riccati(family, N, nmax)
+
+
+if __name__ == "__main__":
+    # The large size as a CI step of its own, not in Tier-1: at N = 10000 and
+    # n = 200 the oracle alone takes 3 to 4 s a family.
+    N, nmax = 10000, 200
+    for family in LINEAR:
+        kind = FamilyKind(family)
+        want = riccati(family, N, nmax)
+        for method in ("recurrence", "series", "det"):
+            if tuple(table_routes()[kind, method](kind, N, nmax)) != want:
+                sys.exit(f"{family} {method} differs from the Riccati recurrence at N = {N}")
+        print(f"{family}: recurrence, series and det match the Riccati recurrence "
+              f"at N = {N}, n <= {nmax}")
