@@ -6,13 +6,13 @@ Each route is a table route, ``table_<route>(kind, N, nmax)``, which returns
 the whole column v_0..v_nmax in one call and shares its work between the
 indices: the determinant route reads every value from one prefix-determinant
 pass, the binomial route from one chain of powers.  Every closed-form route
-is one formula c_0..c_m in the family's weights a_0..a_m and stride s, both
-read off its :class:`~hgnum.families.FamilySpec`, on one frame that admits
-the request, reads the weights and returns v_{sm} = (sm)! c_m, zero off the
-stride.  :func:`table_routes` is the registry of which route serves which
-method of which family.  Only the Euler types have the composition, binomial
-and Trudi expansions; for hg-bernoulli and hg-cauchy the det route serves
-both ``det`` and ``trudi``, and ``--method all`` runs each route once.
+is one formula c_0..c_m in the family's weights a_0..a_m and stride s, on the
+frame :func:`~hgnum.families.on_stride` that the series route shares, once
+:func:`admit` takes the request.  :func:`table_routes` is the registry of
+which route serves which method of which family.  Only the Euler types have
+the composition, binomial and Trudi expansions; for hg-bernoulli and hg-cauchy
+the det route serves both ``det`` and ``trudi``, and ``--method all`` runs
+each route once.
 
 Every closed-form kernel runs on plain ints: each takes the weights as
 integer numerators over their common denominator
@@ -39,9 +39,9 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .exact import (
-    InvalidParameter, ONE, ZERO, compositions, convolve, factorial, numerators)
+    InvalidParameter, ONE, compositions, convolve, numerators)
 from .linalg import hessenberg_det_prefixes, trudi_expand
-from .families import SPECS, FamilyId, FamilyKind, table, via_series
+from .families import SPECS, FamilyId, FamilyKind, on_stride, table, via_series
 
 COMPOSITION_CAP = 30
 BINOMIAL_CAP = 200
@@ -64,16 +64,11 @@ TableRoute = Callable[[FamilyKind, int, int], list[Fraction]]
 
 def _route(kind: FamilyKind, method: str, N: int, nmax: int,
            formula: Callable[[Sequence[Fraction], int], list[Fraction]]) -> list[Fraction]:
-    """v_0..v_nmax once :func:`admit` takes the request: v_{sm} = (sm)! c_m
-    for c_0..c_M = formula(a_0..a_M, s) on the family's weights and stride,
-    and 0 off the stride."""
+    """v_0..v_nmax on the frame :func:`~hgnum.families.on_stride`, once admitted."""
     family = admit(kind, method, N, nmax)
     if method == "trudi" and kind not in _EULER_TYPES:  # admit takes it: det serves their trudi
         raise InvalidParameter(f"{kind.value} has no trudi expansion")
-    s = family.spec.stride
-    out = [ZERO] * (nmax + 1)
-    out[::s] = [factorial(s * m) * c for m, c in enumerate(formula(family.weights(nmax), s))]
-    return out
+    return on_stride(family, nmax, formula)
 
 
 def _alternate(values: Sequence[Fraction]) -> list[Fraction]:

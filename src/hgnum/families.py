@@ -1,12 +1,15 @@
 """Number tables for the four families, by integer recurrence and by series reciprocal.
 
 Each family is one :class:`FamilySpec` in :data:`SPECS`: v_n = n! [t^n] 1/F(t)
-for one hypergeometric denominator F, the tuple of its coefficients
-a_0 = 1, a_1, ..., which sit at the multiples of a stride (2 for the Euler
+for one hypergeometric denominator F, the tuple of its coefficients, whose
+weights a_0 = 1, a_1, ... sit at the multiples of a stride s (2 for the Euler
 types, 1 otherwise).  Its ``recurrence`` reads F(t) V(t) = 1 in the numbers,
 on ints over a running lcm (:func:`~hgnum.exact.over_running_lcm`, which the
-determinant route shares); :func:`via_series` takes the Newton reciprocal of F
-(:func:`~hgnum.series.reciprocal`) and multiplies its t^n coefficient by n!.
+determinant route shares).  Every other route is one formula c_0..c_M of the
+weights on the frame :func:`on_stride`, which puts v_{sm} = (sm)! c_m on the
+stride: :func:`via_series` is the Newton reciprocal of the weights
+(:func:`~hgnum.series.reciprocal`, F as a series in u = t^s), and the
+closed-form routes of :mod:`~hgnum.closed_forms` are their own formulas.
 For hg-euler, comp-hg-euler and hg-bernoulli, F is sum w!/(w+sj)! t^{sj}
 (:func:`~hgnum.series.gen_ratio`), and each family names its w(N) once:
 ``_ratio_spec`` builds both its denominator and its recurrence from it.
@@ -29,9 +32,9 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .exact import InvalidParameter, factorial, numerators, over_running_lcm
+from .exact import InvalidParameter, ZERO, numerators, over_running_lcm
 from .series import gen_hgcauchy_denom, gen_ratio, reciprocal
 
 
@@ -180,11 +183,20 @@ SPECS: dict[FamilyKind, FamilySpec] = {
 }
 
 
+def on_stride(family: FamilyId, nmax: int,
+              formula: Callable[[list[Fraction], int], Sequence[Fraction]]) -> list[Fraction]:
+    """v_0..v_nmax with v_{sm} = (sm)! c_m for c_0..c_M = formula(a_0..a_M, s)
+    on the family's weights and stride, and 0 off the stride."""
+    s = family.spec.stride
+    out = [ZERO] * (nmax + 1)
+    out[::s] = [c * math.factorial(s * m) for m, c in enumerate(formula(family.weights(nmax), s))]
+    return out
+
+
 def via_series(family: FamilyId, nmax: int) -> NumberTable:
-    """Definition route: v_n = n! r_n for the reciprocal r of the denominator."""
-    _check_nmax(nmax)
-    r = reciprocal(family.spec.denominator(family.N, nmax))
-    return NumberTable(family, tuple(factorial(n) * c for n, c in enumerate(r)))
+    """Definition route: v_{sm} = (sm)! r_m for the reciprocal r of F as a
+    series in u = t^s, the Newton reciprocal of the weights."""
+    return NumberTable(family, tuple(on_stride(family, nmax, lambda a, s: reciprocal(a))))
 
 
 # The longest table built so far for each of the last MEMO_FAMILIES families

@@ -2,9 +2,9 @@
 
 A series is the tuple c_0..c_M of its Fraction coefficients: exact up to t^M,
 and nothing is known beyond.  :func:`reciprocal` is the Newton reciprocal, on
-:func:`~hgnum.exact.int_convolve` with middle products on
-:func:`~hgnum.exact.chain_convolve` where the series is hypergeometric; the
-families' series route and the tan checker run on it.
+:func:`~hgnum.exact.int_convolve`, with middle products on
+:func:`~hgnum.exact.chain_convolve` where each term ratio is an integer (the
+weights that the families' series route passes); the tan checker runs on it too.
 
 The module also provides constructors for every generating function the number
 families and identity checkers need: one for the factorial-ratio series
@@ -17,39 +17,36 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
-from .exact import (
-    InvalidParameter, ONE, ZERO, chain_convolve, factorial, int_convolve, numerators,
-)
+from .exact import InvalidParameter, ONE, ZERO, chain_convolve, int_convolve, numerators
 
 
 class ZeroConstantTerm(ValueError):
     """Reciprocal requested for a series with no constant term."""
 
 
-def reciprocal(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def reciprocal(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The series r with coeffs * r = 1 to the same order, by Newton's
     iteration r <- r (2 - coeffs r) (Brent and Harvey, arXiv:1108.0286): if r
     is right to t^{p-1}, coeffs r = 1 + t^p e and r - t^p r e is right to
     t^{2p-1}.  On int numerators, each doubling takes only e_p..e_{q-1} (the
     middle product), reduced by one gcd, and then r e.  If each numerator of
-    coeffs on its stride divides the one before (a hypergeometric term
-    ratio), the middle product is a chain product."""
+    coeffs divides the one before (an integer term ratio, as the weights of a
+    hypergeometric F have), the middle product is a chain product."""
     if not coeffs:
         raise InvalidParameter("a truncated series needs at least c_0")
     c0 = coeffs[0]
     if c0 == 0:
         raise ZeroConstantTerm("series has zero constant term")
     (f, f_den), r, p = numerators(coeffs), [ONE / c0], 1
-    s = 1 if any(f[1::2]) else 2
-    on = f[::s]
-    chain = all(on) and not any(x % y for x, y in zip(on, on[1:]))
-    rho = [x // y for x, y in zip([0] + on, on)] if chain else None
+    chain = all(f) and not any(x % y for x, y in zip(f, f[1:]))
+    rho = [x // y for x, y in zip([0] + f, f)] if chain else None
     while p < len(coeffs):
         q = min(2 * p, len(coeffs))
         r_num, r_den = numerators(r)
         if chain:
-            e = chain_convolve(f, s, rho, r_num, p, q - 1)  # over f_den r_den
+            e = chain_convolve(f, rho, r_num, p, q - 1)  # over f_den r_den
         else:
             e = int_convolve(f, r_num, p, q - 1)
         g = math.gcd(f_den * r_den, *e)
@@ -76,15 +73,14 @@ def gen_ratio(w: int, stride: int, order: int) -> tuple[Fraction, ...]:
 def gen_sin(order: int) -> tuple[Fraction, ...]:
     cs = [ZERO] * (order + 1)
     for n in range((order + 1) // 2):
-        k = 2 * n + 1
-        cs[k] = Fraction((-1) ** n) / factorial(k)
+        cs[2 * n + 1] = Fraction((-1) ** n, math.factorial(2 * n + 1))
     return tuple(cs)
 
 
 def gen_cos(order: int) -> tuple[Fraction, ...]:
     cs = [ZERO] * (order + 1)
     for n in range(order // 2 + 1):
-        cs[2 * n] = Fraction((-1) ** n) / factorial(2 * n)
+        cs[2 * n] = Fraction((-1) ** n, math.factorial(2 * n))
     return tuple(cs)
 
 

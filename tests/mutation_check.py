@@ -8,8 +8,11 @@ Each mutant of ``src/hgnum/<module>.py`` changes one thing: it swaps one
 1 to one int constant.  The module's tests then run with ``-x`` on a copy of
 the tree in a temporary directory, so the checkout is never rewritten; a
 mutant whose tests run past two minutes (a loop that no longer ends), or past
-1 GiB of address space (a loop that fills a list), counts as killed.  A
-mutant is keyed by its source line, the column at which the mutated node
+1 GiB of address space (a loop that fills a list), counts as killed.  Each
+mutant's pytest runs in a session of its own, whose process group is killed
+once it ends, and SIGTERM (a CI timeout, ``kill``) exits through the same
+cleanup, so neither a pytest child nor the temporary tree outlives the check.
+A mutant is keyed by its source line, the column at which the mutated node
 starts in that line and the node's text before and after, so two like
 mutants on one line have keys of their own.  The check fails if a mutant
 survives that is not in ``EQUIVALENT``, where each entry says why that mutant
@@ -21,6 +24,7 @@ import ast
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -69,12 +73,12 @@ EQUIVALENT = {
     " :: 53: n < la -> n <= la": "the a slice may run one past its column's end, where it stops",
     "exact: i0, i1, j = (n - last if n > last else 0), (n + 1 if n < la else la), last - n"
     " :: 48: 1 -> 2": "the one extra a entry has no b partner: the b slice ends at b_0",
-    "series: e = chain_convolve(f, s, rho, r_num, p, q - 1)  # over f_den r_den"
-    " :: 40: q - 1 -> q + 1":
+    "series: e = chain_convolve(f, rho, r_num, p, q - 1)  # over f_den r_den"
+    " :: 37: q - 1 -> q + 1":
         "the two extra entries of e enter only the gcd, which still divides the rest",
     "series: e = int_convolve(f, r_num, p, q - 1) :: 30: q - 1 -> q + 1":
         "the two extra entries of e enter only the gcd, which still divides the rest",
-    "series: rho = [x // y for x, y in zip([0] + on, on)] if chain else None :: 31: 0 -> 1":
+    "series: rho = [x // y for x, y in zip([0] + f, f)] if chain else None :: 31: 0 -> 1":
         "rho[0] only multiplies chain_convolve's initial 0",
     "families: den = 1 :: 6: 1 -> 2": "any common multiple of N+1..N+n serves as D and cancels",
     "families: row = [1] :: 7: 1 -> 2":
@@ -178,6 +182,15 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
+def stop_session(run):
+    """Kill every process left in the session that ``run`` leads, and reap it."""
+    try:
+        os.killpg(run.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the session has no process left
+        pass
+    run.wait()
+
+
 def check(module, tree_dir):
     path = tree_dir / "src" / "hgnum" / f"{module}.py"
     source = path.read_text()
@@ -190,16 +203,19 @@ def check(module, tree_dir):
         key = mutant_key(module, lines, node, before)
         path.write_text(ast.unparse(tree))
         setattr(node, field, old)
+        run = subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *tests],
+            cwd=tree_dir, env=dict(os.environ, PYTHONPATH="src"),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            preexec_fn=limit_memory, start_new_session=True,
+        )
         try:
-            run = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--hypothesis-seed=0", *tests],
-                cwd=tree_dir, env=dict(os.environ, PYTHONPATH="src"),
-                capture_output=True, timeout=120, preexec_fn=limit_memory,
-            )
-            killed = run.returncode != 0
+            killed = run.wait(timeout=120) != 0
         except subprocess.TimeoutExpired:
             killed = True
+        finally:
+            stop_session(run)
         if not killed:
             survivors.append(key)
         print(f"{count:4d} {'killed' if killed else 'SURVIVED'}  {key}", flush=True)
@@ -224,5 +240,11 @@ def main(modules):
     return 1 if problems else 0
 
 
+def terminate(signum, frame):
+    sys.exit(128 + signum)
+
+
 if __name__ == "__main__":
+    # SystemExit unwinds through stop_session and removes the temporary tree
+    signal.signal(signal.SIGTERM, terminate)
     sys.exit(main(sys.argv[1:] or list(TESTS)))

@@ -199,26 +199,22 @@ def test_int_convolve_range_is_that_slice_of_the_full_product(a, b, lo, hi, egf)
 
 @st.composite
 def chains(draw):
-    """(a, s, rho) for chain_convolve: a on the stride s from its last entry
-    back, a_{s(j-1)} = rho[j] a_{sj} with nonzero rho[j] of either sign, and
-    at stride 2 maybe one more 0 at the end, as a denominator of odd order has."""
-    s = draw(st.sampled_from([1, 2]))
+    """(a, rho) for chain_convolve: a from its last entry back,
+    a_{j-1} = rho[j] a_j with nonzero rho[j] of either sign."""
     ratios = draw(st.lists(st.integers(-10**4, 10**4).filter(bool), max_size=30))
-    on = [draw(st.integers(-10**12, 10**12).filter(bool))]
+    a = [draw(st.integers(-10**12, 10**12).filter(bool))]
     for x in reversed(ratios):
-        on.insert(0, x * on[0])
-    a = [0] * (s * len(on) - s + 1 + draw(st.integers(0, s - 1)))
-    a[::s] = on
-    return a, s, [0] + ratios
+        a.insert(0, x * a[0])
+    return a, [0] + ratios
 
 
 @settings(max_examples=150, deadline=None)
 @given(chains(), ints, st.one_of(st.none(), st.tuples(st.integers(0, 70), st.integers(-1, 90))))
 def test_chain_convolve_is_int_convolve_on_a_chain(chain, b, window):
-    a, s, rho = chain
+    a, rho = chain
     # None: the window of the Newton reciprocal's middle product, past b
     lo, hi = window or (len(b), min(2 * len(b), len(a)) - 1)
-    got = chain_convolve(a, s, rho, b, lo, hi)
+    got = chain_convolve(a, rho, b, lo, hi)
     assert got == int_convolve(a, b, lo, hi)
     assert all(type(c) is int for c in got)
 
@@ -226,11 +222,11 @@ def test_chain_convolve_is_int_convolve_on_a_chain(chain, b, window):
 @settings(max_examples=50, deadline=None)
 @given(chains(), st.integers(1, 10**6), st.data())
 def test_newton_reciprocal_of_a_chain_and_of_one_with_a_zero_on_its_stride(chain, d, data):
-    a, s, _ = chain
+    a, _ = chain
     coeffs = [F(x, d) for x in a]
     variants = [coeffs]
-    if len(a) > s:
-        k = s * data.draw(st.integers(1, (len(a) - 1) // s))
+    if len(a) > 1:
+        k = data.draw(st.integers(1, len(a) - 1))
         variants.append(coeffs[:k] + [F(0)] + coeffs[k + 1 :])
     for c in variants:
         assert reciprocal(tuple(c)) == forward_reciprocal(c)
@@ -239,11 +235,14 @@ def test_newton_reciprocal_of_a_chain_and_of_one_with_a_zero_on_its_stride(chain
 def test_the_chain_product_serves_chains_only(monkeypatch):
     calls, real = [], chain_convolve
     monkeypatch.setattr("hgnum.series.chain_convolve", lambda *args: calls.append(1) or real(*args))
-    euler, bernoulli = gen_ratio(6, 2, 40), gen_ratio(3, 1, 40)
+    euler, bernoulli = gen_ratio(6, 2, 40)[::2], gen_ratio(3, 1, 40)
     for series, chain in (
+        # the weights of F, as the series route passes them
         (euler, True),
         (bernoulli, True),
-        # one zero on the stride
+        # the Euler denominator as a series in t, zero at every odd index
+        (gen_ratio(6, 2, 40), False),
+        # one zero
         (euler[:10] + (F(0),) + euler[11:], False),
         (bernoulli[:7] + (F(0),) + bernoulli[8:], False),
         # the term ratio -(N+j)/(N+j-1) is not an integer

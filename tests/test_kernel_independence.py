@@ -7,28 +7,30 @@ their own, so each of them changes one method and ``all`` exits 3.  For the
 Euler types every other method has a kernel of its own too.  For hg-bernoulli
 and hg-cauchy the Hessenberg determinants also serve ``trudi``, so that kernel
 changes two methods, and the Euler-only kernels and the other family's
-recurrence change nothing.  Four kernels are shared on purpose.  The
+recurrence change nothing.  Five kernels are shared on purpose.  The
 factorial-ratio constructor ``gen_ratio`` is the denominator of hg-euler,
 comp-hg-euler and hg-bernoulli, so it feeds each of their routes but
-``recurrence``: ``series`` reads the series, the others its weights.  That no
-recurrence reads it is the point, since the recurrence checks the others;
-hg-cauchy's ``gen_hgcauchy_denom`` is the same for that family.  The integer
-product loop ``int_convolve`` runs the Newton reciprocal's products and,
-through ``exact.convolve``, the binomial route's chain of powers.  The
-reciprocal's middle product runs on ``chain_convolve`` instead where the
-denominator's term ratio is an integer (the Euler types and hg-bernoulli), so
-that kernel changes ``series`` there and nothing for hg-cauchy.  The prefix
-kernel ``over_running_lcm``, which keeps the earlier values as ints over a
-running lcm, runs both the number recurrences and the Hessenberg
-determinants, so it changes ``recurrence`` and ``det`` (and ``trudi`` at
-stride 1).  What guards it is outside the package: the modular oracle
-(``test_modular_oracle.py``) checks both routes against residues mod a prime,
-and the Riccati oracle (``test_riccati_oracle.py``) checks them against
-exact values from a recurrence with no weights and no lcm.  The closed-form
-frame ``_route`` admits a request, reads the weights and puts (sm)! c_m on the
-stride for every closed-form route, so it changes ``explicit``, ``binomial``,
-``det`` and ``trudi`` for the Euler types and ``det`` and ``trudi`` at stride
-1; ``recurrence`` and ``series`` do not run it and check it.
+``recurrence``, which does not read its weights.  That no recurrence reads it
+is the point, since the recurrence checks the others; hg-cauchy's
+``gen_hgcauchy_denom`` is the same for that family.  The integer product loop
+``int_convolve`` runs the Newton reciprocal's products and, through
+``exact.convolve``, the binomial route's chain of powers.  The reciprocal's
+middle product runs on ``chain_convolve`` instead where the weights' term
+ratio is an integer (the Euler types and hg-bernoulli), so that kernel changes
+``series`` there and nothing for hg-cauchy.  The prefix kernel
+``over_running_lcm``, which keeps the earlier values as ints over a running
+lcm, runs both the number recurrences and the Hessenberg determinants, so it
+changes ``recurrence`` and ``det`` (and ``trudi`` at stride 1).  What guards
+it is outside the package: the modular oracle (``test_modular_oracle.py``)
+checks both routes against residues mod a prime, and the Riccati oracle
+(``test_riccati_oracle.py``) checks them against exact values from a
+recurrence with no weights and no lcm.  The frame ``on_stride`` reads the
+weights and puts (sm)! c_m on the stride for the series route and every
+closed-form route, so it changes every method but ``recurrence``, which does
+not run it and checks it.  The closed-form routes reach it through ``_route``,
+which admits the request first, so ``_route`` changes ``explicit``,
+``binomial``, ``det`` and ``trudi`` for the Euler types and ``det`` and
+``trudi`` at stride 1, and never ``series``.
 """
 
 import csv
@@ -59,6 +61,7 @@ KERNELS = {
     "_composition_sum": (closed_forms,),
     "_power_chain": (closed_forms,),
     "_route": (closed_forms,),
+    "on_stride": (families, closed_forms),
 }
 
 EULER_METHODS = {
@@ -75,6 +78,7 @@ EULER_METHODS = {
     "_composition_sum": {"explicit"},
     "_power_chain": {"binomial"},
     "_route": {"explicit", "binomial", "det", "trudi"},
+    "on_stride": {"series", "explicit", "binomial", "det", "trudi"},
 }
 # kind -> kernel -> methods, for the stride-1 families, which differ only in
 # their own recurrence and denominator and in the chain product
@@ -88,6 +92,7 @@ STRIDE1_METHODS = {
         "chain_convolve": chain,
         "hessenberg_det_prefixes": {"det", "trudi"},
         "_route": {"det", "trudi"},
+        "on_stride": {"series", "det", "trudi"},
     }
     for kind, own, denominator, chain in (
         (FamilyKind.HG_BERNOULLI, "_binomial_recurrence", "gen_ratio", {"series"}),

@@ -12,7 +12,7 @@ import pytest
 from hgnum import families
 from hgnum.cli import main
 from hgnum.exact import InvalidParameter, numerators
-from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, table
+from hgnum.families import MEMO_FAMILIES, FamilyId, FamilyKind, NumberTable, table
 
 from helpers import to_fractions
 
@@ -69,6 +69,17 @@ def test_every_request_the_entry_covers_reads_its_column():
         assert got.whole is entry
         assert to_fractions(got.column) == list(got.values)
     assert vars(entry)["_column"] == numerators(entry.values)
+
+
+def test_a_prefix_equals_a_table_of_its_family_and_values_whatever_its_whole():
+    family = FamilyId(FamilyKind.HG_EULER, 2)
+    entry = table(family, 12)
+    prefix = table(family, 7)
+    assert prefix.whole is entry
+    own = NumberTable(family, prefix.values)
+    assert prefix == own and hash(prefix) == hash(own)
+    assert prefix != NumberTable(FamilyId(FamilyKind.COMP_HG_EULER, 2), prefix.values)
+    assert prefix != table(family, 8)
 
 
 def test_entry_count_stays_at_the_bound():
